@@ -45,7 +45,7 @@ class HashTaintRule(_DataflowRule):
 
 @register
 class KernelTaintRule(_DataflowRule):
-    """RD402: nondeterminism taint reaching kernel output or codegen."""
+    """RD402: nondeterminism taint reaching kernel output or generated code."""
 
     code = "RD402"
     name = "tainted-kernel-output"

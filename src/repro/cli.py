@@ -159,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm kernel sessions kept resident (LRU beyond this)",
     )
     sv.add_argument(
-        "--pool-shards", type=int, default=4, help="session-pool lock shards"
-    )
-    sv.add_argument(
         "--workers", type=int, default=2,
         help="threads executing plan builds and multiplies",
     )
@@ -588,7 +585,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         unix_path=args.unix_socket,
         pool_sessions=args.pool_sessions,
-        pool_shards=args.pool_shards,
         workers=args.workers,
         max_inflight=args.max_inflight,
         quota_rate=args.quota_rate,

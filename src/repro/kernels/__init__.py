@@ -3,8 +3,11 @@
 Two families:
 
 * **Row-wise** kernels (:mod:`repro.kernels.spmm`, :mod:`repro.kernels.sddmm`)
-  implementing the paper's Alg. 1 / Alg. 2 semantics, both as a readable
-  reference loop and as a vectorised production path.
+  implementing the paper's Alg. 1 / Alg. 2 semantics, both as readable
+  reference oracles and as a vectorised production path.  There is one
+  CSR SpMM kernel, :meth:`repro.kernels.CsrState.multiply`; the one-shot
+  :func:`spmm`, :class:`KernelSession` and the tiled kernels' sparse
+  remainder all run it.
 * **Tiled** kernels (:mod:`repro.kernels.aspt_spmm`,
   :mod:`repro.kernels.aspt_sddmm`) operating on a
   :class:`repro.aspt.TiledMatrix`, computing the dense tiles through an
@@ -20,18 +23,17 @@ results at a fraction of the steady-state cost.
 
 Every vectorised kernel (and :class:`~repro.kernels.KernelSession`)
 additionally accepts ``backend=``, selecting a compiled kernel backend
-from :mod:`repro.kernels.backends` — ``numpy`` (the reference, always),
-``codegen`` (``exec``-compiled specialized source, always), ``numba``
-(machine-code JIT when importable, graceful degradation otherwise).  All
-backends are held to the reference's bit pattern (1 ULP for true JIT) by
-the cross-backend differential test matrix.
+from :mod:`repro.kernels.backends` — ``numpy`` (the reference, always)
+or ``numba`` (machine-code JIT when importable, graceful degradation
+otherwise).  ``numpy`` is held to the gather reference's bit pattern and
+``numba`` to 1 ULP by the cross-backend differential test matrix.
 
 These kernels compute *results*; the corresponding *performance* estimates
 come from :mod:`repro.gpu`, which models the same access patterns on a
 P100-like memory hierarchy.
 """
 
-from repro.kernels.spmm import spmm, spmm_blocked, spmm_rowwise_reference
+from repro.kernels.spmm import spmm, spmm_gather_reference, spmm_rowwise_reference
 from repro.kernels.spmv import spmv, spmv_rowwise_reference
 from repro.kernels.sddmm import sddmm, sddmm_rowwise_reference
 from repro.kernels.aspt_spmm import spmm_tiled
@@ -55,7 +57,7 @@ __all__ = [
     "CsrState",
     "DEFAULT_CHUNK_K",
     "spmm",
-    "spmm_blocked",
+    "spmm_gather_reference",
     "spmm_rowwise_reference",
     "spmv",
     "spmv_rowwise_reference",

@@ -4,7 +4,7 @@ The dense tiles are computed the way the GPU kernel computes them: per
 panel, the dense columns' rows of ``X`` are first gathered into a compact
 *panel buffer* (the functional analogue of staging into shared memory) and
 the panel's tile non-zeros index that buffer through remapped local column
-ids.  The sparse remainder goes through the row-wise kernel.  Because the
+ids.  The sparse remainder goes through :func:`repro.kernels.spmm`.  Because the
 tiler partitions the non-zeros exactly, the sum of the two phases equals
 plain SpMM on the original matrix — asserted in the test suite against the
 Alg. 1 oracle.
@@ -129,22 +129,16 @@ def spmm_tiled(
         Optional pool/workspace for the panel buffers, products scratch
         and the remainder kernel's scratch (bitwise-identical results).
     backend:
-        Optional compiled-backend name (:mod:`repro.kernels.backends`):
-        the sparse remainder then runs the backend's compiled SpMM (the
-        dense phase is the shared panel-gather path on every backend).
-        Degrades back to this reference path when unavailable.
+        Optional kernel-backend name (:mod:`repro.kernels.backends`),
+        forwarded to :func:`~repro.kernels.spmm` for the sparse
+        remainder; the dense phase is the shared panel-gather path on
+        every backend.
 
     Returns
     -------
     numpy.ndarray
         ``Y = tiled.original @ X`` of shape ``(n_rows, K)``.
     """
-    if backend is not None and backend != "numpy":
-        from repro.kernels.backends import resolve_backend
-
-        resolved, _ = resolve_backend(backend)
-        if resolved.name != "numpy":
-            return resolved.spmm_tiled(tiled, X, out, workspace=workspace)
     X = check_dense("X", X, rows=tiled.original.n_cols, dtype=None)
     K = X.shape[1]
     if out is None:
@@ -163,12 +157,10 @@ def spmm_tiled(
             workspace=ws,
         )
         if tiled.sparse_part.nnz:
-            if ws is None:
-                Y += spmm(tiled.sparse_part, X)
-            else:
-                remainder = ws.scratch((tiled.original.n_rows, K))
-                spmm(tiled.sparse_part, X, out=remainder, workspace=ws)
-                np.add(Y, remainder, out=Y)
+            remainder = None if ws is None else ws.scratch((tiled.original.n_rows, K))
+            Y += spmm(
+                tiled.sparse_part, X, out=remainder, workspace=ws, backend=backend
+            )
     finally:
         if owned:
             ws.release()

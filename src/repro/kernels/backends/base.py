@@ -8,9 +8,10 @@ every backend is held to (by the cross-backend differential test matrix,
 ``tests/unit/test_backend_differential.py``) is the paper's "same bits,
 faster" claim:
 
-* the ``numpy`` and ``codegen`` backends must be **bitwise identical** to
-  the reference kernels — they run the same ufunc sequence in the same
-  operand order, so every intermediate rounds identically;
+* the ``numpy`` backend must be **bitwise identical** to the gather
+  reference (:func:`repro.kernels.spmm_gather_reference`) — per output
+  element it adds the same products in the same order, so every
+  intermediate rounds identically;
 * a true machine-code backend (``numba``) must match within **1 ULP** per
   element: its sequential row-wise accumulation performs the same adds in
   the same order as ``np.add.reduceat`` (an accumulator initialised to
@@ -34,12 +35,10 @@ kernel      signature and contract
 :class:`~repro.util.workspace.Workspace` or a
 :class:`~repro.util.workspace.DirectWorkspace`); compiled kernels never
 allocate scratch directly, so pooled and direct invocations stay
-bitwise identical.  ``spmm_tiled`` is a *hybrid* on every backend: the
-dense-tile phase is the shared panel-gather implementation and only the
-sparse remainder goes through the backend's compiled SpMM — the dense
-phase's access pattern is already the staged "shared memory" form the
-paper's GPU kernel uses, so it is the remainder row-wise loop that
-benefits from compilation.
+bitwise identical.  :func:`repro.kernels.spmm_tiled` is a *hybrid* on
+every backend: the dense-tile phase is the shared panel-gather
+implementation and only the sparse remainder goes through
+:func:`repro.kernels.spmm` and so through the backend's compiled SpMM.
 """
 
 from __future__ import annotations
@@ -150,9 +149,9 @@ class CompiledKernel:
 
     ``fn`` follows the calling convention for ``spec.kernel`` documented
     in the module docstring.  ``source`` is the generated source text for
-    backends that generate code (``codegen``, ``numba``) — kept for
-    debuggability and asserted on in the test suite — and ``None`` for
-    the ``numpy`` reference.  ``compile_seconds`` is the measured wall
+    backends that generate code (``numba``) — kept for debuggability and
+    asserted on in the test suite — and ``None`` for the ``numpy``
+    reference.  ``compile_seconds`` is the measured wall
     clock of the ``backend.compile`` span that produced this artifact.
     """
 
@@ -283,14 +282,13 @@ class KernelBackend:
         out: np.ndarray | None = None,
         *,
         workspace=None,
-        state: CsrState | None = None,
     ) -> np.ndarray:
         """``csr @ X`` through this backend's compiled SpMM.
 
-        Matches :func:`repro.kernels.spmm` bitwise (``numpy`` /
-        ``codegen``) or within 1 ULP (``numba``).  ``state`` lets a
-        long-lived caller (:class:`~repro.kernels.KernelSession`) reuse a
-        prebuilt :class:`~repro.kernels.state.CsrState`.
+        The body of :func:`repro.kernels.spmm`: a transient
+        :class:`~repro.kernels.state.CsrState` plus the cached artifact.
+        Matches :func:`repro.kernels.spmm_gather_reference` bitwise
+        (``numpy``) or within 1 ULP (``numba``).
         """
         X = check_dense("X", X, rows=csr.n_cols, dtype=None)
         K = X.shape[1]
@@ -298,8 +296,7 @@ class KernelBackend:
             out = np.empty((csr.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
         else:
             out = check_out("out", out, rows=csr.n_rows, cols=K)
-        if state is None:
-            state = CsrState(csr)
+        state = CsrState(csr)
         spec = specialize(state, kernel="spmm", dtype=_dtype_token(X.dtype))
         fn = self.artifact(spec).fn
         ws, owned = as_workspace(workspace)
@@ -348,46 +345,3 @@ class KernelBackend:
             if owned:
                 ws.release()
         return csr.with_values(values)
-
-    def spmm_tiled(
-        self,
-        tiled,
-        X: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Two-phase ASpT SpMM (matches :func:`repro.kernels.spmm_tiled`).
-
-        Hybrid on every backend: the dense-tile phase runs the shared
-        panel-gather implementation; the sparse remainder goes through
-        :meth:`spmm` (this backend's compiled row-wise kernel).
-        """
-        from repro.kernels.aspt_spmm import _panel_dense_spmm
-
-        X = check_dense("X", X, rows=tiled.original.n_cols, dtype=None)
-        K = X.shape[1]
-        if out is None:
-            Y = np.zeros((tiled.original.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
-        else:
-            Y = check_out("out", out, rows=tiled.original.n_rows, cols=K)
-            Y[:] = 0.0
-        ws, owned = as_workspace(workspace)
-        try:
-            _panel_dense_spmm(
-                tiled.dense_part,
-                X,
-                tiled.panel_dense_cols,
-                tiled.spec.panel_height,
-                Y,
-                workspace=ws,
-            )
-            if tiled.sparse_part.nnz:
-                direct = ws if ws is not None else DirectWorkspace()
-                remainder = direct.scratch((tiled.original.n_rows, K))
-                self.spmm(tiled.sparse_part, X, out=remainder, workspace=ws)
-                np.add(Y, remainder, out=Y)
-        finally:
-            if owned:
-                ws.release()
-        return Y

@@ -24,16 +24,18 @@ column remaps, scratch buffers, the output array.  A
   columns, so the gather, scale and segment-sum all stream along the
   contiguous axis and the active chunk stays cache resident.  This is
   the CPU analogue of the GPU kernel's coalesced-access + shared-memory
-  staging, and measures ~3x faster than the one-shot
-  :func:`~repro.kernels.spmm` at K=512 on the bench-gate workload.
+  staging.  The one-shot :func:`~repro.kernels.spmm` runs the same
+  kernel over a transient state; a session saves the per-call state
+  build and the scratch allocation.
 
-Despite the different loop structure, results are **bitwise identical**
-to the one-shot kernels (``numpy``/``codegen`` backends) or within 1 ULP
-(``numba``): per output element the same products are accumulated
-left-to-right in the same order, and float32 operands are widened by an
-exact cast before the same float64 multiply.  The equivalence is
-asserted in the oracle tests, the cross-backend differential matrix and,
-for plans, by :meth:`repro.reorder.ExecutionPlan.validate`.
+Results are **bitwise identical** to the one-shot kernels and to
+:func:`~repro.kernels.spmm_gather_reference` (``numpy`` backend) or
+within 1 ULP (``numba``): per output element the same products are
+accumulated left-to-right in the same order, and float32 operands are
+widened by an exact cast before the same float64 multiply.  The
+equivalence is asserted in the oracle tests, the cross-backend
+differential matrix and, for plans, by
+:meth:`repro.reorder.ExecutionPlan.validate`.
 
 Degradation is never fatal: if the requested backend is unavailable or
 its compile fails (including the injected ``backend.compile`` chaos
@@ -80,10 +82,6 @@ __all__ = ["KernelSession"]
 
 _log = get_logger("kernels")
 
-# Backwards-compatible aliases: both classes used to be defined here.
-_DirectWorkspace = DirectWorkspace
-_CsrSteadyState = CsrState
-
 
 class KernelSession:
     """Amortised repeated SpMM against one pinned target.
@@ -101,11 +99,10 @@ class KernelSession:
         Workspace pool to lease scratch from; by default the session owns
         a private pool sized to its own working set.
     backend:
-        Compiled kernel backend name (``"numpy"``, ``"codegen"``,
-        ``"numba"``).  ``None`` means "no preference": plan targets use
-        the plan's ``backend`` field, everything else the ``numpy``
-        reference.  Unknown names raise
-        :class:`~repro.errors.ConfigError`; known-but-unavailable
+        Kernel backend name (``"numpy"`` or ``"numba"``).  ``None``
+        means "no preference": plan targets use the plan's ``backend``
+        field, everything else the ``numpy`` reference.  Unknown names
+        raise :class:`~repro.errors.ConfigError`; known-but-unavailable
         backends (and compile failures) degrade to numpy with a
         :class:`~repro.errors.DegradedExecution` warning.
 

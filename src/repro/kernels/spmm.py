@@ -3,24 +3,27 @@
 ``Y[i, k] = sum_j S.value[j] * X[S.colidx[j], k]`` over the non-zeros ``j``
 of row ``i``.
 
-Three implementations with one contract:
+One production kernel and two reference oracles with one contract:
 
+* :func:`spmm` — the production entry point.  It resolves a kernel
+  backend (``numpy`` by default) and runs its compiled SpMM over a
+  transient :class:`~repro.kernels.state.CsrState`: the transposed,
+  K-chunked :meth:`~repro.kernels.state.CsrState.multiply`, whose
+  products scratch is bounded by ``chunk_k * nnz`` floats.
+* :func:`spmm_gather_reference` — the straightforward vectorised form:
+  one gather of ``X`` rows, one broadcast multiply, one ``reduceat``
+  segment sum (``nnz * K`` scratch).  A different algorithm with the same
+  accumulation order, so the numpy backend is held to it **bitwise**.
 * :func:`spmm_rowwise_reference` — the paper's Alg. 1 verbatim, Python
   loops; the oracle for everything else (use only on small matrices).
-* :func:`spmm` — vectorised: one gather of ``X`` rows, one broadcast
-  multiply, one ``reduceat`` segment sum.  Peak scratch memory is
-  ``nnz * K`` floats.
-* :func:`spmm_blocked` — the same algorithm applied to row blocks, capping
-  scratch memory for large inputs (the "be easy on the memory" guideline).
 
-Both vectorised kernels accept ``workspace=`` (a
+:func:`spmm` accepts ``workspace=`` (a
 :class:`~repro.util.workspace.WorkspacePool` or leased
 :class:`~repro.util.workspace.Workspace`): scratch buffers are then leased
-from the pool instead of allocated per call, and the gather / multiply /
-segment-sum run through the ``out=`` forms of the same ufuncs in the same
-operand order — results are bitwise identical to the allocating path
-(asserted in the test suite).  For the repeated-multiply serving case see
-:class:`repro.kernels.KernelSession`.
+from the pool instead of allocated per call, with bitwise-identical
+results.  For the repeated-multiply serving case see
+:class:`repro.kernels.KernelSession`, which pins the ``CsrState`` and the
+compiled artifact across calls.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ import numpy as np
 
 from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
-from repro.util.validation import check_dense, check_out, check_positive
-from repro.util.workspace import Workspace, as_workspace
+from repro.util.validation import check_dense
 
-__all__ = ["spmm", "spmm_blocked", "spmm_rowwise_reference"]
+__all__ = ["spmm", "spmm_gather_reference", "spmm_rowwise_reference"]
 
 
 @checked(validates("csr"))
@@ -50,48 +52,24 @@ def spmm_rowwise_reference(csr: CSRMatrix, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _gathered_products(
-    values: np.ndarray, X: np.ndarray, cols: np.ndarray, ws: Workspace | None
-) -> np.ndarray:
-    """``values[:, None] * X[cols]`` — through leased scratch when pooled.
+@checked(validates("csr"))
+def spmm_gather_reference(csr: CSRMatrix, X: np.ndarray) -> np.ndarray:
+    """Gather / scale / segment-sum SpMM; the bitwise oracle of :func:`spmm`.
 
-    The pooled path gathers with ``np.take(out=)`` and multiplies with
-    ``np.multiply(out=)`` using the same operand order as the allocating
-    expression, so both paths round identically.
+    ``products[p] = value[p] * X[col[p]]``, then ``np.add.reduceat`` over
+    each non-empty row's segment.  Allocates ``nnz * K`` floats of
+    scratch, so it is meant for tests and plan validation, not serving.
+    A ``float32`` operand is used as-is; the multiply widens it to
+    ``float64`` through the values array (an exact cast).
     """
-    if ws is None:
-        return values[:, None] * X[cols]
-    K = X.shape[1]
-    if X.dtype == np.float64:
-        products = ws.scratch((cols.size, K))
-        np.take(X, cols, axis=0, out=products)
-    else:
-        # dtype-preserving gather, then a widening multiply into float64
-        # scratch (float32 -> float64 casts are exact, so the product is
-        # bit-for-bit the promoted multiply of the allocating path).
-        products = ws.scratch((cols.size, K), dtype=X.dtype)
-        np.take(X, cols, axis=0, out=products)
-        widened = ws.scratch((cols.size, K))
-        np.multiply(values[:, None], products, out=widened)
-        return widened
-    np.multiply(values[:, None], products, out=products)
-    return products
-
-
-def _segment_rows(
-    products: np.ndarray,
-    starts: np.ndarray,
-    nonempty: np.ndarray,
-    out_rows: np.ndarray,
-    ws: Workspace | None,
-) -> None:
-    """``out_rows[nonempty] = reduceat(products, starts)`` without allocating."""
-    if ws is None:
-        out_rows[nonempty] = np.add.reduceat(products, starts, axis=0)
-        return
-    sums = ws.scratch((nonempty.size, products.shape[1]))
-    np.add.reduceat(products, starts, axis=0, out=sums)
-    out_rows[nonempty] = sums
+    X = check_dense("X", X, rows=csr.n_cols, dtype=None)
+    out = np.zeros((csr.n_rows, X.shape[1]), dtype=np.float64)
+    if csr.nnz == 0:
+        return out
+    products = csr.values[:, None] * X[csr.colidx]
+    nonempty = np.flatnonzero(csr.row_lengths() > 0)
+    out[nonempty] = np.add.reduceat(products, csr.rowptr[:-1][nonempty], axis=0)
+    return out
 
 
 @checked(validates("csr"))
@@ -103,7 +81,7 @@ def spmm(
     workspace=None,
     backend: str | None = None,
 ) -> np.ndarray:
-    """Vectorised SpMM.
+    """SpMM through a kernel backend's compiled CSR multiply.
 
     Parameters
     ----------
@@ -120,105 +98,22 @@ def spmm(
         (:func:`~repro.util.validation.check_out`).
     workspace:
         Optional :class:`~repro.util.workspace.WorkspacePool` or
-        :class:`~repro.util.workspace.Workspace`; the ``nnz * K``
-        products scratch is leased from it instead of allocated.
+        :class:`~repro.util.workspace.Workspace`; the staged operand and
+        the ``chunk_k * nnz`` products scratch are leased from it instead
+        of allocated.
     backend:
-        Optional compiled-backend name (see
-        :mod:`repro.kernels.backends`).  ``None``/``"numpy"`` run this
-        reference path; other names dispatch to the backend's compiled
-        SpMM, degrading back here when the backend is unavailable.
+        Optional kernel-backend name (see :mod:`repro.kernels.backends`).
+        ``None``/``"numpy"`` run the numpy reference artifact; other
+        names dispatch to that backend's compiled SpMM, degrading to
+        numpy when the backend is unavailable.
 
     Returns
     -------
     numpy.ndarray
-        ``Y`` of shape ``(M, K)``.
+        ``Y`` of shape ``(M, K)``, bitwise equal to
+        :func:`spmm_gather_reference` on the numpy backend.
     """
-    if backend is not None and backend != "numpy":
-        from repro.kernels.backends import resolve_backend
+    from repro.kernels.backends import resolve_backend
 
-        resolved, _ = resolve_backend(backend)
-        if resolved.name != "numpy":
-            return resolved.spmm(csr, X, out, workspace=workspace)
-    X = check_dense("X", X, rows=csr.n_cols, dtype=None)
-    K = X.shape[1]
-    if out is None:
-        out = np.zeros((csr.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
-    else:
-        out = check_out("out", out, rows=csr.n_rows, cols=K)
-        out[:] = 0.0
-    if csr.nnz == 0:
-        return out
-    ws, owned = as_workspace(workspace)
-    try:
-        # Gather + scale: products[p] = value[p] * X[col[p]], then
-        # segment-sum into rows (reduceat needs non-empty segments).
-        products = _gathered_products(csr.values, X, csr.colidx, ws)
-        lengths = csr.row_lengths()
-        nonempty = np.flatnonzero(lengths > 0)
-        starts = csr.rowptr[:-1][nonempty]
-        _segment_rows(products, starts, nonempty, out, ws)
-    finally:
-        if owned:
-            ws.release()
-    return out
-
-
-@checked(validates("csr"))
-def spmm_blocked(
-    csr: CSRMatrix,
-    X: np.ndarray,
-    *,
-    block_rows: int = 4096,
-    out: np.ndarray | None = None,
-    workspace=None,
-) -> np.ndarray:
-    """SpMM with bounded scratch: processes ``block_rows`` rows at a time.
-
-    Scratch peaks at ``max_block_nnz * K`` floats instead of ``nnz * K``.
-    Results are bitwise identical to :func:`spmm` (same reduction order).
-    Accepts the same ``out=`` / ``workspace=`` as :func:`spmm`; with a
-    workspace, consecutive blocks recycle the same size-class buffers.
-    The ``out=`` buffer must be writable in place (float64,
-    C-contiguous): a buffer that would need a dtype or contiguity copy
-    is rejected instead of silently filled-then-discarded.
-    """
-    check_positive("block_rows", block_rows)
-    X = check_dense("X", X, rows=csr.n_cols, dtype=None)
-    K = X.shape[1]
-    if out is None:
-        Y = np.zeros((csr.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
-    else:
-        Y = check_out("out", out, rows=csr.n_rows, cols=K)
-        Y[:] = 0.0
-    ws, owned = as_workspace(workspace)
-    try:
-        for lo in range(0, csr.n_rows, block_rows):
-            hi = min(lo + block_rows, csr.n_rows)
-            p0, p1 = csr.rowptr[lo], csr.rowptr[hi]
-            if p0 == p1:
-                continue
-            with (ws.pool.lease() if ws is not None else _NULL_LEASE) as block_ws:
-                cols = csr.colidx[p0:p1]
-                vals = csr.values[p0:p1]
-                products = _gathered_products(vals, X, cols, block_ws)
-                lengths = np.diff(csr.rowptr[lo : hi + 1])
-                nonempty = np.flatnonzero(lengths > 0)
-                starts = (csr.rowptr[lo:hi][nonempty] - p0).astype(np.int64)
-                _segment_rows(products, starts, nonempty, Y[lo:hi], block_ws)
-    finally:
-        if owned:
-            ws.release()
-    return Y
-
-
-class _NullLease:
-    """Context manager standing in for "no workspace" in the block loop."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-_NULL_LEASE = _NullLease()
+    resolved, _ = resolve_backend(backend)
+    return resolved.spmm(csr, X, out, workspace=workspace)

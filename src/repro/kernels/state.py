@@ -1,23 +1,23 @@
-"""Pinned per-matrix CSR state for the transposed K-chunked multiply.
+"""Pinned per-matrix CSR state and the one CSR SpMM kernel.
 
-:class:`CsrState` hoists everything about a CSR matrix that the
-steady-state SpMM recomputes per call in the one-shot kernels — the
-non-empty row set, the segment starts, contiguous copies of the index and
-value arrays.  It is shared by :class:`repro.kernels.KernelSession`
-(which historically owned it as a private class) and by the compiled
-kernel backends (:mod:`repro.kernels.backends`), whose generated kernels
-take a ``CsrState`` so one artifact serves both the one-shot and the
-session path.
+:class:`CsrState` hoists everything about a CSR matrix that a multiply
+would otherwise recompute per call — the non-empty row set, the segment
+starts, contiguous copies of the index and value arrays.
+:class:`repro.kernels.KernelSession` pins one for the life of a session;
+the one-shot :func:`repro.kernels.spmm` builds a transient one per call.
+Backend artifacts (:mod:`repro.kernels.backends`) take a ``CsrState``,
+so one artifact serves both paths.
 
-The reference algorithm lives in :meth:`CsrState.multiply`: stage the
+:meth:`CsrState.multiply` is the repo's only CSR SpMM kernel: stage the
 dense operand transposed, then gather / scale / segment-sum one K-chunk
-at a time along the contiguous axis.  Despite the different loop
-structure the result is **bitwise identical** to
-:func:`repro.kernels.spmm` — per output element the same products are
-accumulated left-to-right in the same order, and float32 operands are
-widened by an exact cast before the same float64 multiply.  Every
-compiled backend is held to this same bit pattern (or, for true JIT
-machine code, to within 1 ULP) by the cross-backend differential tests.
+at a time along the contiguous axis, so the products scratch is bounded
+by ``chunk_k * nnz`` floats.  Despite the different loop structure the
+result is **bitwise identical** to
+:func:`repro.kernels.spmm_gather_reference` — per output element the
+same products are accumulated left-to-right in the same order, and
+float32 operands are widened by an exact cast before the same float64
+multiply.  The numba backend is held to this bit pattern within 1 ULP by
+the cross-backend differential tests.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class CsrState:
         self.starts = np.ascontiguousarray(csr.rowptr[:-1][self.nonempty])
 
     def multiply(self, X: np.ndarray, out: np.ndarray, ws: Workspace, chunk_k: int) -> None:
-        """``out = csr @ X``, bitwise identical to :func:`repro.kernels.spmm`."""
+        """``out = csr @ X``, bitwise identical to
+        :func:`repro.kernels.spmm_gather_reference`."""
         csr = self.csr
         K = X.shape[1]
         if csr.nnz == 0 or K == 0:

@@ -28,7 +28,7 @@ from repro.contracts import checked, validates
 from repro.errors import BackendUnavailable, DegradedExecution, TimeoutExceeded
 from repro.kernels.aspt_sddmm import sddmm_tiled
 from repro.kernels.aspt_spmm import _panel_dense_spmm
-from repro.kernels.spmm import spmm
+from repro.kernels.spmm import spmm, spmm_gather_reference
 from repro.kernels.sddmm import sddmm
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
@@ -75,9 +75,9 @@ class ReorderConfig:
     measure: str = "jaccard"  #: candidate-scoring measure (extension; paper uses Jaccard)
     force_round1: bool | None = None  #: override the §4 gate (None = use gate)
     force_round2: bool | None = None
-    #: Compiled kernel backend the plan's multiplies should run through
-    #: (see :mod:`repro.kernels.backends`).  Must be a *registered* name
-    #: ("numpy", "codegen", "numba"); availability is checked at plan
+    #: Kernel backend the plan's multiplies should run through (see
+    #: :mod:`repro.kernels.backends`).  Must be a *registered* name
+    #: ("numpy" or "numba"); availability is checked at plan
     #: build, where an unavailable backend degrades to numpy with
     #: provenance rather than failing.  Part of the plan cache key.
     backend: str = "numpy"
@@ -317,7 +317,12 @@ class ExecutionPlan:
         ``original`` must be the same matrix the plan was built from (the
         permutations are checked for shape; content equality is the
         caller's contract, exactly as with any persisted preprocessing).
+        A file naming a backend this build does not register (one since
+        removed) loads as a numpy plan, with the step recorded in
+        :attr:`backend_provenance`.
         """
+        from repro.kernels.backends import backend_names
+
         with np.load(path) as data:
             row_order = data["row_order"].astype(np.int64)
             remainder_order = data["remainder_order"].astype(np.int64)
@@ -333,6 +338,10 @@ class ExecutionPlan:
                 if "artifact" in data.files
                 else ()
             )
+        backend_provenance: tuple = ()
+        if backend not in backend_names():
+            backend_provenance = (f"backend:{backend}->numpy: not registered",)
+            backend, artifact = "numpy", ()
         if row_order.size != original.n_rows:
             raise ValueError(
                 f"plan was saved for {row_order.size} rows; matrix has "
@@ -360,6 +369,7 @@ class ExecutionPlan:
             stats=stats,
             preprocess_seconds={"total": preprocess_total},
             backend=backend,
+            backend_provenance=backend_provenance,
             artifact=artifact,
         )
 
@@ -382,7 +392,8 @@ class ExecutionPlan:
         if X is None:
             X = rng.normal(size=(self.original.n_cols, 4))
         np.testing.assert_allclose(
-            self.spmm(X), spmm(self.original, X), rtol=1e-10, atol=1e-9
+            self.spmm(X), spmm_gather_reference(self.original, X),
+            rtol=1e-10, atol=1e-9,
         )
         # The pinned-session path must agree with the one-shot plan
         # multiply bit for bit (same products, same accumulation order).

@@ -6,8 +6,8 @@ multiplied many times — a *serving* workload.  This package turns the
 library into that long-running service: clients submit
 ``(matrix fingerprint | matrix upload, dense batch, deadline, tenant)``
 requests over a newline-delimited-JSON TCP/UNIX-socket protocol
-(:mod:`repro.serve.protocol`) and get results computed on a sharded,
-bounded pool of warm :class:`~repro.kernels.KernelSession`
+(:mod:`repro.serve.protocol`) and get results computed on a bounded
+LRU pool of warm :class:`~repro.kernels.KernelSession`
 (:mod:`repro.serve.pool`).
 
 The robustness stack, rung by rung:

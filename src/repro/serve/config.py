@@ -29,8 +29,8 @@ class ServeConfig:
         is exposed as :attr:`repro.serve.SpmmServer.port`).
     unix_path:
         When set, listen on a UNIX domain socket instead of TCP.
-    pool_sessions, pool_shards:
-        Bound and shard count of the warm :class:`~repro.serve.SessionPool`.
+    pool_sessions:
+        Bound of the warm :class:`~repro.serve.SessionPool`.
     max_matrices:
         Bound of the uploaded-matrix registry (LRU evicted).
     workers:
@@ -75,7 +75,6 @@ class ServeConfig:
     port: int = 7077
     unix_path: str | None = None
     pool_sessions: int = 8
-    pool_shards: int = 4
     max_matrices: int = 64
     workers: int = 2
     max_inflight: int = 16
@@ -97,7 +96,7 @@ class ServeConfig:
     tenant_quotas: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("pool_sessions", "pool_shards", "max_matrices", "workers",
+        for name in ("pool_sessions", "max_matrices", "workers",
                      "max_inflight", "breaker_threshold", "latency_window",
                      "chunk_k", "panel_height", "max_line_bytes"):
             value = getattr(self, name)

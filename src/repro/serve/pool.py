@@ -1,4 +1,4 @@
-"""Sharded, bounded pool of warm :class:`~repro.kernels.KernelSession`.
+"""Bounded pool of warm :class:`~repro.kernels.KernelSession`.
 
 The serving economics of the paper live here: a plan build costs orders
 of magnitude more than a multiply, so the server keeps sessions (pinned
@@ -10,8 +10,9 @@ created it under a full-rung key).
 
 Robustness properties:
 
-* **bounded** — at most ``capacity`` sessions across ``shards`` shards;
-  inserting past the bound evicts least-recently-used entries;
+* **bounded** — at most ``capacity`` sessions in one LRU under one lock,
+  so a pool of N holds any N keys; inserting past the bound evicts
+  least-recently-used entries;
 * **in-flight pinning** — an entry serving a request carries a non-zero
   refcount and is never evicted, however stale; the pool may
   transiently exceed its bound rather than yank a session mid-multiply;
@@ -25,7 +26,6 @@ Robustness properties:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 
@@ -48,35 +48,24 @@ class PooledSession:
         self.provenance = tuple(provenance)
         self.backend = backend
         self.degraded = bool(degraded)
-        self.refs = 0  # guarded by the owning shard's lock
-
-
-class _Shard:
-    __slots__ = ("entries", "lock")
-
-    def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
-        self.lock = threading.Lock()
+        self.refs = 0  # guarded by the pool lock
 
 
 class SessionPool:
     """LRU session cache with in-flight pinning (see module docstring).
 
     The pool is written to from executor threads and read by the event
-    loop's health endpoint, so every shard carries its own lock; the
-    shard index is derived from the key digest, keeping unrelated
-    fingerprints contention-free.
+    loop's health endpoint; one lock guards the table.  Critical sections
+    are short table operations, so contention stays negligible next to
+    the multiply they bracket.
     """
 
-    def __init__(self, capacity: int = 8, shards: int = 4) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.capacity = int(capacity)
-        self._shards = [_Shard() for _ in range(int(shards))]
-        # Per-shard bound; ceil so shards * bound >= capacity.
-        self._shard_capacity = -(-self.capacity // len(self._shards))
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
         self._hits = METRICS.counter(
             "serve.pool_hit", "warm-session pool hits"
         )
@@ -94,13 +83,6 @@ class SessionPool:
             "serve.pool_pinned", "warm sessions currently serving requests"
         )
 
-    def _shard_for(self, key: str) -> _Shard:
-        # BLAKE2b, not hash(): shard placement (and therefore eviction
-        # order and fault-site arrival order under chaos) must not vary
-        # with PYTHONHASHSEED.
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=4).digest()
-        return self._shards[int.from_bytes(digest, "little") % len(self._shards)]
-
     # ------------------------------------------------------------------
     def pin(self, key: str) -> PooledSession | None:
         """Look up and pin a warm entry (``None`` on miss).
@@ -108,13 +90,12 @@ class SessionPool:
         A pinned entry cannot be evicted until :meth:`unpin` releases it;
         callers pair the two in try/finally around the multiply.
         """
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
             if entry is None:
                 self._misses.inc()
                 return None
-            shard.entries.move_to_end(key)
+            self._entries.move_to_end(key)
             entry.refs += 1
         self._hits.inc()
         self._pinned.add(1)
@@ -122,8 +103,7 @@ class SessionPool:
 
     def unpin(self, entry: PooledSession) -> None:
         """Release one pin taken by :meth:`pin` or :meth:`put`."""
-        shard = self._shard_for(entry.key)
-        with shard.lock:
+        with self._lock:
             if entry.refs < 1:
                 raise AssertionError(f"unpin without pin on {entry.key!r}")
             entry.refs -= 1
@@ -134,7 +114,7 @@ class SessionPool:
 
         When two builders race on the same key the first insert wins and
         the loser's session is discarded (the returned entry is always
-        the resident one).  Inserting past the shard bound evicts LRU
+        the resident one).  Inserting past ``capacity`` evicts LRU
         entries with zero refs; pinned entries survive, so the pool can
         transiently overflow under pressure rather than break an
         in-flight multiply.
@@ -143,27 +123,26 @@ class SessionPool:
             key, session, rung=rung, provenance=provenance,
             backend=backend, degraded=degraded,
         )
-        shard = self._shard_for(key)
         evicted = []
-        with shard.lock:
-            resident = shard.entries.get(key)
+        with self._lock:
+            resident = self._entries.get(key)
             if resident is not None:
-                shard.entries.move_to_end(key)
+                self._entries.move_to_end(key)
                 resident.refs += 1
                 entry = resident
             else:
                 made.refs = 1
-                shard.entries[key] = made
+                self._entries[key] = made
                 entry = made
                 # LRU scan from the cold end; skip pinned entries.
-                while len(shard.entries) > self._shard_capacity:
+                while len(self._entries) > self.capacity:
                     victim_key = next(
-                        (k for k, e in shard.entries.items() if e.refs == 0),
+                        (k for k, e in self._entries.items() if e.refs == 0),
                         None,
                     )
                     if victim_key is None:
                         break  # everything pinned: transient overflow
-                    evicted.append(shard.entries.pop(victim_key))
+                    evicted.append(self._entries.pop(victim_key))
         for victim in evicted:
             self._evict(victim)
         self._pinned.add(1)
@@ -193,12 +172,9 @@ class SessionPool:
         number of entries invalidated.
         """
         prefix = f"{fingerprint}:"
-        dropped = []
-        for shard in self._shards:
-            with shard.lock:
-                doomed = [k for k in shard.entries if k.startswith(prefix)]
-                for k in doomed:
-                    dropped.append(shard.entries.pop(k))
+        with self._lock:
+            doomed = [k for k in self._entries if k.startswith(prefix)]
+            dropped = [self._entries.pop(k) for k in doomed]
         for entry in dropped:
             if entry.refs == 0:
                 self._evict(entry)
@@ -212,38 +188,27 @@ class SessionPool:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._entries)
 
     def occupancy(self) -> dict:
-        """Health-endpoint snapshot: per-shard entries and pin counts."""
-        shards = []
-        for shard in self._shards:
-            with shard.lock:
-                shards.append(
-                    {
-                        "entries": len(shard.entries),
-                        "pinned": sum(1 for e in shard.entries.values() if e.refs),
-                        "keys": [
-                            {"key": k, "rung": e.rung, "refs": e.refs,
-                             "backend": e.backend}
-                            for k, e in shard.entries.items()
-                        ],
-                    }
-                )
+        """Health-endpoint snapshot: entries, pin counts and keys (LRU first)."""
+        with self._lock:
+            keys = [
+                {"key": k, "rung": e.rung, "refs": e.refs, "backend": e.backend}
+                for k, e in self._entries.items()
+            ]
         return {
             "capacity": self.capacity,
-            "entries": sum(s["entries"] for s in shards),
-            "pinned": sum(s["pinned"] for s in shards),
-            "shards": shards,
+            "entries": len(keys),
+            "pinned": sum(1 for k in keys if k["refs"]),
+            "keys": keys,
         }
 
     def clear(self) -> None:
         """Evict every unpinned entry (tests and drain shutdown)."""
-        for shard in self._shards:
-            evicted = []
-            with shard.lock:
-                for key in [k for k, e in shard.entries.items() if e.refs == 0]:
-                    evicted.append(shard.entries.pop(key))
-            for victim in evicted:
-                self._evict(victim)
+        with self._lock:
+            idle = [k for k, e in self._entries.items() if e.refs == 0]
+            evicted = [self._entries.pop(k) for k in idle]
+        for victim in evicted:
+            self._evict(victim)
         self._size.set(len(self))

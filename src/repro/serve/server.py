@@ -84,7 +84,7 @@ class SpmmServer:
         self.config = config or ServeConfig()
         self._clock = clock
         cfg = self.config
-        self.pool = SessionPool(cfg.pool_sessions, cfg.pool_shards)
+        self.pool = SessionPool(cfg.pool_sessions)
         self.admission = AdmissionController(
             max_inflight=cfg.max_inflight,
             quota_rate=cfg.quota_rate,

@@ -6,7 +6,8 @@ crash — sessions and plan builds degrade to the numpy reference, the
 record the event, the degradation lands in ``backend_provenance`` (never
 in the plan's resilience provenance), and results stay correct.  A
 resumable sweep configured with a compiled backend completes with zero
-crashes at any injection rate.
+crashes at any injection rate.  The compiled backend is the test-only
+``fake`` backend from ``conftest.py``, so these run without numba.
 """
 
 import warnings
@@ -14,10 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_csr
+from conftest import FAKE_BACKEND, random_csr
 from repro.errors import DegradedExecution
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.kernels import KernelSession, spmm
+from repro.kernels import KernelSession, spmm_gather_reference
 from repro.kernels.backends import SpecializationSpec, get_backend
 from repro.observability.metrics import METRICS
 from repro.reorder import ReorderConfig, build_plan
@@ -39,7 +40,7 @@ class TestCompileFaultDegradation:
     def test_session_compile_fault_falls_back_to_numpy(self, rng):
         matrix = random_csr(rng, 24, 20, density=0.2)
         X = rng.normal(size=(20, 8))
-        reference = spmm(matrix, X)
+        reference = spmm_gather_reference(matrix, X)
         fallback = METRICS.counter("kernels.backend_fallback")
         fired = METRICS.counter("resilience.fault_fired")
         before_fallback, before_fired = fallback.value, fired.value
@@ -48,7 +49,7 @@ class TestCompileFaultDegradation:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 session = KernelSession(
-                    matrix, backend="codegen", **_fresh_spec(0)
+                    matrix, backend=FAKE_BACKEND, **_fresh_spec(0)
                 )
                 got = session.run(X)
 
@@ -62,10 +63,10 @@ class TestCompileFaultDegradation:
 
     def test_plan_build_compile_fault_degrades_backend_only(self, rng):
         matrix = random_csr(rng, 30, 24, density=0.15)
-        # panel_height=5 is used nowhere else with codegen, so the spec
+        # panel_height=5 is used nowhere else with this backend, so the spec
         # fingerprint misses the process-global artifact cache and the
         # injected compile fault is guaranteed an arrival.
-        config = ReorderConfig(siglen=16, panel_height=5, backend="codegen")
+        config = ReorderConfig(siglen=16, panel_height=5, backend=FAKE_BACKEND)
         with FaultInjector(rate=1.0, seed=11, sites=["backend.compile"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegradedExecution)
@@ -80,11 +81,11 @@ class TestCompileFaultDegradation:
         # reorders the summation, so tolerance rather than bitwise).
         X = rng.normal(size=(24, 8))
         np.testing.assert_allclose(
-            plan.spmm(X), spmm(matrix, X), rtol=1e-10, atol=1e-12
+            plan.spmm(X), spmm_gather_reference(matrix, X), rtol=1e-10, atol=1e-12
         )
 
     def test_warm_artifacts_bypass_faults(self, rng):
-        backend = get_backend("codegen")
+        backend = get_backend(FAKE_BACKEND)
         spec = SpecializationSpec(kernel="spmm", chunk_k=89, k_hint=777)
         cold = backend.artifact(spec)  # fills the process-global cache
         with FaultInjector(rate=1.0, seed=3, sites=["backend.compile"]) as inj:
@@ -95,7 +96,7 @@ class TestCompileFaultDegradation:
 
 class TestChaosSweepWithBackend:
     def test_backend_sweep_zero_crashes(self, tmp_path, chaos_rate, chaos_seed):
-        reorder = ReorderConfig(panel_height=8, backend="codegen")
+        reorder = ReorderConfig(panel_height=8, backend=FAKE_BACKEND)
         config = ExperimentConfig(
             scale="tiny", repeats=1, ks=(16,),
             reorder=reorder,

@@ -14,7 +14,7 @@ import pytest
 from repro.aspt import tile_matrix
 from repro.datasets import hidden_clusters
 from repro.errors import DegradedExecution, WorkspaceExhausted
-from repro.kernels import KernelSession, spmm
+from repro.kernels import KernelSession, spmm_gather_reference
 from repro.reorder import ReorderConfig, build_plan
 from repro.resilience import FaultInjector
 from repro.util.workspace import WorkspacePool
@@ -32,7 +32,7 @@ def X(matrix, rng):
 
 class TestLeaseCapFallback:
     def test_cap_hit_mid_multiply_falls_back_bitwise_identical(self, matrix, X):
-        reference = spmm(matrix, X)
+        reference = spmm_gather_reference(matrix, X)
         # Large enough for small leases, too small for the big transposed
         # staging buffer — the cap fires mid-multiply, not at lease time.
         session = KernelSession(matrix, pool=WorkspacePool(max_lease_bytes=1024))
@@ -75,7 +75,7 @@ class TestLeaseCapFallback:
 
 class TestInjectedExhaustion:
     def test_injected_session_fault_falls_back_once(self, matrix, X, chaos_seed):
-        reference = spmm(matrix, X)
+        reference = spmm_gather_reference(matrix, X)
         session = KernelSession(matrix)
         with FaultInjector(
             rate=1.0, seed=chaos_seed, sites=["session.run"], max_faults=1
@@ -90,7 +90,7 @@ class TestInjectedExhaustion:
         assert session.fallbacks == 1
 
     def test_injected_take_fault_falls_back(self, matrix, X, chaos_seed):
-        reference = spmm(matrix, X)
+        reference = spmm_gather_reference(matrix, X)
         session = KernelSession(matrix)
         with FaultInjector(
             rate=1.0, seed=chaos_seed, sites=["workspace.take"], max_faults=1
@@ -106,7 +106,7 @@ class TestChaosRate:
     def test_sustained_injection_never_changes_results(
         self, matrix, X, chaos_rate, chaos_seed
     ):
-        reference = spmm(matrix, X)
+        reference = spmm_gather_reference(matrix, X)
         session = KernelSession(matrix)
         with FaultInjector(
             rate=chaos_rate,

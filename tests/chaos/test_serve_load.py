@@ -33,6 +33,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import FAKE_BACKEND
 from repro.datasets import hidden_clusters
 from repro.errors import ReproIOError
 from repro.reorder import build_plan
@@ -188,7 +189,6 @@ class TestServeLoadUnderChaos:
             panel_height=8,
             chunk_k=16,
             pool_sessions=2,  # smaller than the key universe: evictions
-            pool_shards=1,
             max_inflight=32,
             quota_rate=1000.0,
             quota_burst=1000.0,
@@ -438,7 +438,7 @@ class TestBreakerUnderCompileFaults:
             workers=1,
             panel_height=8,
             chunk_k=16,
-            backend="codegen",
+            backend=FAKE_BACKEND,
             breaker_threshold=2,
             breaker_reset_s=600.0,  # stays open for the whole test
         )

@@ -23,6 +23,7 @@ The support sets below satisfy every one of those constraints:
     S3 = {1}       S4 = {0, 3, 4}    S5 = {2, 5}
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -89,7 +90,41 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
 # environment (numba is an optional dependency, never required) skip with
 # the import error as the reason instead of silently shrinking coverage.
 
-from repro.kernels.backends import backend_names, get_backend  # noqa: E402
+from repro.kernels.backends import (  # noqa: E402
+    NumpyBackend,
+    backend_names,
+    get_backend,
+    register_backend,
+)
+
+#: Name of the test-only compiled backend registered below.
+FAKE_BACKEND = "fake"
+
+
+class FakeCompiledBackend(NumpyBackend):
+    """A non-numpy backend that is always available, numpy-equivalent.
+
+    It compiles through the real registry choke point (artifact cache,
+    ``backend.compile`` span, fault point, compile counter) under its own
+    name, so tier-1 exercises every compiled-backend path — breaker trips,
+    compile-fault degradation, warm-artifact reuse, the backend in the
+    plan-cache key, one-shot ``backend=`` dispatch — without numba.  Its
+    artifacts are the numpy ones, so results are bitwise the reference.
+    """
+
+    name = FAKE_BACKEND
+
+    def compile(self, spec):
+        return dataclasses.replace(super().compile(spec), backend=self.name)
+
+
+register_backend(FakeCompiledBackend())
+
+
+@pytest.fixture
+def fake_backend() -> str:
+    """Name of the always-available test-only compiled backend."""
+    return FAKE_BACKEND
 
 
 def _backend_params():

@@ -2,9 +2,9 @@
 
 The differential matrix (tests/unit/test_backend_differential.py) pins
 hand-picked corners; these properties sweep random CSR structures and
-operand dtypes and assert the same tolerance contract: ``codegen`` is
-bitwise-equal to the ``numpy`` reference, ``numba`` (when importable)
-within 1 ULP, and within each backend the workspace-pooled path is
+operand dtypes and assert the same tolerance contract: ``numpy`` (and
+the test-only ``fake`` backend) bitwise-equal to the references,
+``numba`` (when importable) within 1 ULP, and within each backend the workspace-pooled path is
 bitwise-identical to the direct path.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import KernelSession, spmm, spmv
+from repro.kernels import KernelSession, spmm, spmm_gather_reference, spmv
 from repro.kernels.backends import available_backends
 from repro.util.workspace import WorkspacePool
 
@@ -41,7 +41,7 @@ class TestBackendSpmmProperties:
         X = np.random.default_rng(seed).normal(
             size=(csr.n_cols, k)
         ).astype(dtype)
-        reference = spmm(csr, X)
+        reference = spmm_gather_reference(csr, X)
         _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
 
     @pytest.mark.parametrize("backend_name", AVAILABLE)

@@ -1,9 +1,10 @@
 """Cross-backend differential test matrix.
 
-Every (kernel x backend x dtype x degenerate shape) cell is held to the
-numpy reference: bitwise equal for the ``numpy`` and ``codegen``
-backends (which execute the same ufunc sequence in the same order), and
-within 1 ULP for ``numba`` (whose only licensed deviation from the
+Every (kernel x backend x dtype x degenerate shape) cell is held to a
+reference: SpMM to the gather oracle :func:`spmm_gather_reference`,
+SpMV / SDDMM / tiled SpMM to the numpy-backend kernels.  Bitwise equal
+for ``numpy`` (and the test-only ``fake`` backend from ``conftest.py``,
+which runs the numpy artifacts), within 1 ULP for ``numba`` (whose only licensed deviation from the
 reference accumulation is FMA contraction — ``fastmath`` is off, so no
 reassociation).  The matrix is the lockdown for the backend subsystem:
 any backend that cannot hold its tolerance on any cell fails here, not
@@ -19,6 +20,7 @@ from repro.kernels import (
     KernelSession,
     sddmm,
     spmm,
+    spmm_gather_reference,
     spmm_tiled,
     spmv,
 )
@@ -59,14 +61,14 @@ class TestSpmmMatrix:
         m, n = shape
         csr = _shaped_csr(rng, m, n)
         X = rng.normal(size=(n, 4)).astype(dtype)
-        reference = spmm(csr, X)
+        reference = spmm_gather_reference(csr, X)
         _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_degenerate_operand_widths(self, rng, backend_name, k):
         csr = random_csr(rng, 12, 10, density=0.3)
         X = rng.normal(size=(10, k))
-        reference = spmm(csr, X)
+        reference = spmm_gather_reference(csr, X)
         _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
 
     def test_all_dense_panel(self, rng, backend_name):
@@ -74,7 +76,7 @@ class TestSpmmMatrix:
         dense = rng.normal(size=(8, 6))
         csr = CSRMatrix.from_dense(dense)
         X = rng.normal(size=(6, 5))
-        reference = spmm(csr, X)
+        reference = spmm_gather_reference(csr, X)
         _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
 
     def test_empty_rows_are_zeroed(self, rng, backend_name):
@@ -87,7 +89,7 @@ class TestSpmmMatrix:
         X = rng.normal(size=(5, 3))
         out = np.full((6, 3), np.nan, dtype=np.float64)
         got = spmm(csr, X, out=out, backend=backend_name)
-        _assert_matches(backend_name, got, spmm(csr, X))
+        _assert_matches(backend_name, got, spmm_gather_reference(csr, X))
         assert np.all(got[[0, 2, 3, 5]] == 0.0)
 
 
@@ -139,7 +141,7 @@ class TestSessionMatrix:
         m, n = shape
         csr = _shaped_csr(rng, m, n)
         X = rng.normal(size=(n, 4))
-        reference = spmm(csr, X)
+        reference = spmm_gather_reference(csr, X)
         session = KernelSession(csr, backend=backend_name)
         _assert_matches(backend_name, session.run(X), reference)
 

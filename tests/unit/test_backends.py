@@ -2,9 +2,11 @@
 
 Covers the registry (registration, resolution, graceful degradation),
 the specialization spec (fingerprint stability, descriptor round trip),
-per-spec code generation, the process-global artifact cache, session
-integration, and the plan pipeline/persistence integration
-(``attach_backend``, npz save/load, plan-store round trip).
+per-spec numba source generation, the process-global artifact cache,
+session integration, and the plan pipeline/persistence integration
+(``attach_backend``, npz save/load, plan-store round trip).  The
+non-numpy backend here is the test-only ``fake`` backend registered in
+``conftest.py``.
 """
 
 import warnings
@@ -12,9 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_csr
+from conftest import FAKE_BACKEND, random_csr
 from repro.errors import BackendUnavailable, ConfigError, DegradedExecution
-from repro.kernels import KernelSession, spmm
+from repro.kernels import KernelSession, spmm, spmm_gather_reference
 from repro.kernels.backends import (
     CompiledKernel,
     KernelBackend,
@@ -25,9 +27,6 @@ from repro.kernels.backends import (
     get_backend,
     resolve_backend,
     specialize,
-)
-from repro.kernels.backends.codegen_backend import (
-    render_source as codegen_source,
 )
 from repro.kernels.backends.numba_backend import render_source as numba_source
 from repro.kernels.state import CsrState
@@ -45,9 +44,9 @@ class TestRegistry:
     def test_numpy_is_first_and_always_available(self):
         names = backend_names()
         assert names[0] == "numpy"
-        assert "codegen" in names and "numba" in names
+        assert "numba" in names and FAKE_BACKEND in names
         assert "numpy" in available_backends()
-        assert "codegen" in available_backends()
+        assert FAKE_BACKEND in available_backends()
 
     def test_get_backend_unknown_raises_config_error(self):
         with pytest.raises(ConfigError, match="unknown kernel backend"):
@@ -137,21 +136,7 @@ class TestSpecializationSpec:
             specialize(object())
 
 
-class TestCodegenSpecialization:
-    def test_chunk_width_is_baked_into_source(self):
-        source = codegen_source(SpecializationSpec(kernel="spmm", chunk_k=37))
-        assert "37" in source
-
-    def test_empty_row_epilogue_is_elided_for_dense_row_matrices(self):
-        with_empties = codegen_source(
-            SpecializationSpec(kernel="spmm", nonempty_rows=False)
-        )
-        without = codegen_source(
-            SpecializationSpec(kernel="spmm", nonempty_rows=True)
-        )
-        assert "state.empty" in with_empties
-        assert "state.empty" not in without
-
+class TestCompiledArtifacts:
     def test_numba_sddmm_accumulator_follows_dtype(self):
         f32 = numba_source(SpecializationSpec(kernel="sddmm", dtype="float32"))
         f64 = numba_source(SpecializationSpec(kernel="sddmm", dtype="float64"))
@@ -160,19 +145,18 @@ class TestCodegenSpecialization:
 
     def test_compiled_kernel_descriptor_names_backend_and_fingerprint(self):
         spec = SpecializationSpec(kernel="spmm", chunk_k=16)
-        kernel = get_backend("codegen").compile(spec)
+        kernel = get_backend(FAKE_BACKEND).compile(spec)
         descriptor = kernel.descriptor()
-        assert "backend=codegen" in descriptor
+        assert f"backend={FAKE_BACKEND}" in descriptor
         assert f"fingerprint={spec.fingerprint()}" in descriptor
         assert isinstance(kernel, CompiledKernel)
-        assert kernel.source is not None
 
 
 class TestArtifactCache:
     def test_warm_artifact_skips_recompilation(self):
         spec = SpecializationSpec(kernel="spmm", chunk_k=53, k_hint=1234)
         compile_counter = METRICS.counter("kernels.backend_compile")
-        backend = get_backend("codegen")
+        backend = get_backend(FAKE_BACKEND)
         cold = compiled_artifact(backend, spec)
         after_cold = compile_counter.value
         warm = compiled_artifact(backend, spec)
@@ -195,7 +179,7 @@ class TestSessionIntegration:
         self, matrix, rng, backend_name
     ):
         X = rng.normal(size=(matrix.n_cols, 24))
-        reference = spmm(matrix, X)
+        reference = spmm_gather_reference(matrix, X)
         session = KernelSession(matrix, backend=backend_name)
         assert session.backend == backend_name
         assert session.backend_provenance == ()
@@ -217,7 +201,9 @@ class TestSessionIntegration:
         assert session.backend_provenance
         assert session.backend_provenance[0].startswith("backend:numba->numpy")
         assert any(w.category is DegradedExecution for w in caught)
-        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+        np.testing.assert_array_equal(
+            session.run(X), spmm_gather_reference(matrix, X)
+        )
 
 
 class TestPlanIntegration:
@@ -226,9 +212,9 @@ class TestPlanIntegration:
             ReorderConfig(backend="cuda")
 
     def test_build_plan_attaches_backend_and_artifact(self, matrix):
-        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+        config = ReorderConfig(siglen=16, panel_height=8, backend=FAKE_BACKEND)
         plan = build_plan(matrix, config)
-        assert plan.backend == "codegen"
+        assert plan.backend == FAKE_BACKEND
         assert plan.artifact  # descriptor recorded next to the plan
         assert not plan.backend_degraded
         assert not plan.degraded  # backend state never taints plan provenance
@@ -253,15 +239,43 @@ class TestPlanIntegration:
         assert again.artifact == ()
 
     def test_plan_save_load_round_trips_backend(self, matrix, tmp_path):
-        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+        config = ReorderConfig(siglen=16, panel_height=8, backend=FAKE_BACKEND)
         plan = build_plan(matrix, config)
         path = tmp_path / "plan.npz"
         plan.save(path)
         from repro.reorder.pipeline import ExecutionPlan
 
         loaded = ExecutionPlan.load(path, matrix)
-        assert loaded.backend == "codegen"
+        assert loaded.backend == FAKE_BACKEND
         assert tuple(loaded.artifact) == tuple(plan.artifact)
+
+    def test_plan_naming_unregistered_backend_loads_as_numpy(
+        self, matrix, rng, tmp_path
+    ):
+        # A plan file from a build that registered a since-removed
+        # backend must load and run, not fail on every session().
+        plan = build_plan(
+            matrix, ReorderConfig(siglen=16, panel_height=8, backend=FAKE_BACKEND)
+        )
+        path = tmp_path / "plan.npz"
+        plan.save(path)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields["backend"] = np.str_("retired")
+        np.savez_compressed(path, **fields)
+        from repro.reorder.pipeline import ExecutionPlan
+
+        loaded = ExecutionPlan.load(path, matrix)
+        assert loaded.backend == "numpy"
+        assert loaded.artifact == ()
+        assert loaded.backend_provenance == (
+            "backend:retired->numpy: not registered",
+        )
+        X = rng.normal(size=(matrix.n_cols, 6))
+        session = loaded.session()
+        assert session.backend == "numpy"
+        np.testing.assert_array_equal(session.run(X), plan.spmm(X))
+        loaded.validate()
 
 
 class TestPlanStoreIntegration:
@@ -269,7 +283,7 @@ class TestPlanStoreIntegration:
         from repro.planstore import plan_key
 
         base = ReorderConfig(siglen=16, panel_height=8)
-        other = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+        other = ReorderConfig(siglen=16, panel_height=8, backend=FAKE_BACKEND)
         assert plan_key(matrix, base) != plan_key(matrix, other)
 
     def test_disk_round_trip_preserves_backend_and_artifact(
@@ -277,7 +291,7 @@ class TestPlanStoreIntegration:
     ):
         from repro.planstore import PlanStore
 
-        config = ReorderConfig(siglen=16, panel_height=8, backend="codegen")
+        config = ReorderConfig(siglen=16, panel_height=8, backend=FAKE_BACKEND)
         store = PlanStore(cache_dir=tmp_path)
         cold = build_plan(matrix, config, cache=store)
         # A fresh store over the same directory must hit the disk tier
@@ -285,7 +299,7 @@ class TestPlanStoreIntegration:
         fresh = PlanStore(cache_dir=tmp_path)
         warm = build_plan(matrix, config, cache=fresh)
         assert fresh.stats()["disk"]["hits"] == 1
-        assert warm.backend == "codegen"
+        assert warm.backend == FAKE_BACKEND
         assert tuple(warm.artifact) == tuple(cold.artifact)
 
     def test_warm_hit_resolves_backend_in_current_environment(
@@ -313,7 +327,7 @@ class TestPlanStoreIntegration:
 class TestBackendOneShotDispatch:
     def test_spmm_backend_kwarg_dispatches(self, matrix, rng, backend_name):
         X = rng.normal(size=(matrix.n_cols, 12))
-        reference = spmm(matrix, X)
+        reference = spmm_gather_reference(matrix, X)
         got = spmm(matrix, X, backend=backend_name)
         if backend_name == "numba":
             np.testing.assert_array_max_ulp(got, reference, maxulp=1)
@@ -323,20 +337,12 @@ class TestBackendOneShotDispatch:
     def test_spmm_backend_fills_caller_buffer(self, matrix, rng):
         X = rng.normal(size=(matrix.n_cols, 12))
         out = np.empty((matrix.n_rows, 12), dtype=np.float64)
-        got = spmm(matrix, X, out=out, backend="codegen")
+        got = spmm(matrix, X, out=out, backend=FAKE_BACKEND)
         assert got is out
-        np.testing.assert_array_equal(out, spmm(matrix, X))
+        np.testing.assert_array_equal(out, spmm_gather_reference(matrix, X))
 
 
-class TestCsrStateAlias:
-    def test_session_module_keeps_private_aliases(self):
-        # Back-compat: earlier code (and pickled references) used the
-        # private names; they must stay importable.
-        from repro.kernels.session import _CsrSteadyState, _DirectWorkspace
-
-        assert _CsrSteadyState is CsrState
-        assert _DirectWorkspace is not None
-
+class TestCsrState:
     def test_state_multiply_matches_spmm(self, matrix, rng):
         X = rng.normal(size=(matrix.n_cols, 16))
         state = CsrState(matrix)
@@ -344,4 +350,4 @@ class TestCsrStateAlias:
         from repro.util.workspace import DirectWorkspace
 
         state.multiply(X, out, DirectWorkspace(), 8)
-        np.testing.assert_array_equal(out, spmm(matrix, X))
+        np.testing.assert_array_equal(out, spmm_gather_reference(matrix, X))

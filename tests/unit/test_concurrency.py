@@ -178,7 +178,7 @@ class TestSessionPoolPinBalance:
             pass
 
     def test_refcounts_return_to_zero_under_concurrent_pin_unpin(self):
-        pool = SessionPool(capacity=4, shards=2)
+        pool = SessionPool(capacity=4)
         keys = [f"matrix-{i}:full" for i in range(6)]  # > capacity: evicts
         threads_n, iterations = 8, 250
         errors = []
@@ -219,11 +219,7 @@ class TestSessionPoolPinBalance:
         occupancy = pool.occupancy()
         # Every pin was matched by an unpin: nothing is left pinned.
         assert occupancy["pinned"] == 0
-        assert all(
-            entry["refs"] == 0
-            for shard in occupancy["shards"]
-            for entry in shard["keys"]
-        )
+        assert all(entry["refs"] == 0 for entry in occupancy["keys"])
         # clear() only evicts refs == 0 entries, so an empty pool after
         # clear proves no pin leaked anywhere.
         pool.clear()

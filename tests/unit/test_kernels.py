@@ -12,7 +12,7 @@ from repro.kernels import (
     sddmm_rowwise_reference,
     sddmm_tiled,
     spmm,
-    spmm_blocked,
+    spmm_gather_reference,
     spmm_rowwise_reference,
     spmm_tiled,
 )
@@ -78,29 +78,30 @@ class TestSpmm:
         assert_spmm_correct(paper_matrix, x, spmm(paper_matrix, x))
 
 
-class TestSpmmBlocked:
-    def test_matches_unblocked(self, rng):
-        m = random_csr(rng, 37, 23, 0.15)
-        X = rng.normal(size=(23, 6))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=5), spmm(m, X))
+class TestGatherReference:
+    def test_spmm_is_bitwise_the_gather_reference(self, rng):
+        # Different algorithms (transposed K-chunks vs one nnz x K gather),
+        # same products added in the same order: identical bits.
+        for k in (0, 1, 5, 70):
+            m = random_csr(rng, 37, 23, 0.15)
+            X = rng.normal(size=(23, k))
+            np.testing.assert_array_equal(spmm(m, X), spmm_gather_reference(m, X))
 
-    def test_block_larger_than_matrix(self, rng):
-        m = random_csr(rng, 10, 10, 0.3)
-        X = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=100), spmm(m, X))
+    def test_matches_reference_loops(self, paper_matrix, operands):
+        X, _ = operands
+        np.testing.assert_allclose(
+            spmm_gather_reference(paper_matrix, X),
+            spmm_rowwise_reference(paper_matrix, X),
+        )
 
-    def test_block_of_one(self, rng):
-        m = random_csr(rng, 8, 8, 0.3)
-        X = rng.normal(size=(8, 2))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=1), spmm(m, X))
-
-    def test_empty_block_handled(self):
-        # Rows 4..7 are all empty -> whole blocks with zero nnz.
+    def test_empty_rows_and_matrix(self):
         dense = np.zeros((8, 4))
         dense[0, 1] = 2.0
         m = CSRMatrix.from_dense(dense)
         X = np.ones((4, 3))
-        np.testing.assert_allclose(spmm_blocked(m, X, block_rows=2), spmm(m, X))
+        np.testing.assert_array_equal(spmm_gather_reference(m, X), m.to_dense() @ X)
+        empty = spmm_gather_reference(CSRMatrix.empty((3, 4)), X)
+        np.testing.assert_array_equal(empty, np.zeros((3, 3)))
 
 
 class TestSddmm:

@@ -4,6 +4,8 @@ Every kernel that accepts ``workspace=`` leases its scratch from a
 size-class pool instead of allocating per call; these tests pin down that
 the pooled path changes *nothing* about the results — same bits, same
 dtypes — and that ``out=`` buffers are reused correctly across calls.
+SpMM results are also held bitwise to the gather oracle
+:func:`~repro.kernels.spmm_gather_reference`.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from repro.kernels import (
     sddmm,
     sddmm_tiled,
     spmm,
-    spmm_blocked,
+    spmm_gather_reference,
     spmm_tiled,
     spmv,
 )
@@ -39,18 +41,11 @@ class TestPooledBitwise:
     def test_spmm(self, csr, dense):
         X, _ = dense
         pool = WorkspacePool()
-        np.testing.assert_array_equal(spmm(csr, X, workspace=pool), spmm(csr, X))
+        reference = spmm_gather_reference(csr, X)
+        np.testing.assert_array_equal(spmm(csr, X, workspace=pool), reference)
         # second call reuses the parked blocks and still matches
-        np.testing.assert_array_equal(spmm(csr, X, workspace=pool), spmm(csr, X))
+        np.testing.assert_array_equal(spmm(csr, X, workspace=pool), reference)
         assert pool.stats()["hits"] > 0
-
-    def test_spmm_blocked(self, csr, dense):
-        X, _ = dense
-        pool = WorkspacePool()
-        np.testing.assert_array_equal(
-            spmm_blocked(csr, X, block_rows=8, workspace=pool),
-            spmm_blocked(csr, X, block_rows=8),
-        )
 
     def test_spmv(self, csr, rng):
         x = rng.normal(size=csr.n_cols)
@@ -85,7 +80,9 @@ class TestPooledBitwise:
         X, _ = dense
         pool = WorkspacePool()
         with pool.lease() as ws:
-            np.testing.assert_array_equal(spmm(csr, X, workspace=ws), spmm(csr, X))
+            np.testing.assert_array_equal(
+                spmm(csr, X, workspace=ws), spmm_gather_reference(csr, X)
+            )
 
 
 class TestFloat32Preservation:
@@ -93,44 +90,37 @@ class TestFloat32Preservation:
         X32 = rng.normal(size=(csr.n_cols, 5)).astype(np.float32)
         pool = WorkspacePool()
         got = spmm(csr, X32, workspace=pool)
-        want = spmm(csr, X32)
+        want = spmm_gather_reference(csr, X32)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
-    def test_spmm_blocked_float32_pooled(self, csr, rng):
-        X32 = rng.normal(size=(csr.n_cols, 5)).astype(np.float32)
-        pool = WorkspacePool()
-        np.testing.assert_array_equal(
-            spmm_blocked(csr, X32, block_rows=8, workspace=pool),
-            spmm_blocked(csr, X32, block_rows=8),
-        )
-
 
 class TestOutBuffers:
-    def test_spmm_blocked_out_is_returned(self, csr, dense):
+    def test_spmm_out_is_returned(self, csr, dense):
         X, _ = dense
         out = np.empty((csr.n_rows, X.shape[1]))
-        got = spmm_blocked(csr, X, block_rows=8, out=out)
+        got = spmm(csr, X, out=out)
         assert got is out
-        np.testing.assert_array_equal(out, spmm(csr, X))
+        np.testing.assert_array_equal(out, spmm_gather_reference(csr, X))
 
-    def test_spmm_blocked_out_reused_across_calls(self, csr, dense):
+    def test_spmm_out_reused_across_calls(self, csr, dense):
         X, _ = dense
         out = np.full((csr.n_rows, X.shape[1]), np.nan)  # stale garbage
-        spmm_blocked(csr, X, block_rows=8, out=out)
-        spmm_blocked(csr, X * -1.0, block_rows=8, out=out)
-        np.testing.assert_array_equal(out, spmm(csr, X * -1.0))
+        spmm(csr, X, out=out)
+        spmm(csr, X * -1.0, out=out)
+        np.testing.assert_array_equal(out, spmm_gather_reference(csr, X * -1.0))
 
     def test_spmm_out_with_pool(self, csr, dense):
         X, _ = dense
         pool = WorkspacePool()
         out = np.empty((csr.n_rows, X.shape[1]))
         spmm(csr, X, out=out, workspace=pool)
-        np.testing.assert_array_equal(out, spmm(csr, X))
+        np.testing.assert_array_equal(out, spmm_gather_reference(csr, X))
 
-    def test_spmm_blocked_out_view_of_larger_buffer(self, csr, dense):
+    def test_spmm_out_view_of_larger_buffer(self, csr, dense):
         X, _ = dense
-        backing = np.empty((csr.n_rows + 4, X.shape[1]))
+        backing = np.full((csr.n_rows + 4, X.shape[1]), np.nan)
         out = backing[2 : 2 + csr.n_rows]  # aliases the middle of backing
-        spmm_blocked(csr, X, block_rows=8, out=out)
-        np.testing.assert_array_equal(out, spmm(csr, X))
+        spmm(csr, X, out=out)
+        np.testing.assert_array_equal(out, spmm_gather_reference(csr, X))
+        assert np.isnan(backing[:2]).all() and np.isnan(backing[-2:]).all()

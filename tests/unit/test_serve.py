@@ -9,11 +9,13 @@ genuine wire path.
 """
 
 import asyncio
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, FormatError, ReproIOError, ValidationError
+from repro.observability.metrics import METRICS
 from repro.resilience import FaultInjector
 from repro.serve import (
     STATUS_DEADLINE_EXCEEDED,
@@ -275,7 +277,7 @@ def _put(pool, key, **kw):
 
 class TestSessionPool:
     def test_miss_then_hit(self):
-        pool = SessionPool(capacity=4, shards=1)
+        pool = SessionPool(capacity=4)
         assert pool.pin("absent") is None
         entry = _put(pool, "k1")
         pool.unpin(entry)
@@ -284,7 +286,7 @@ class TestSessionPool:
         pool.unpin(again)
 
     def test_lru_eviction_closes_the_victim(self):
-        pool = SessionPool(capacity=2, shards=1)
+        pool = SessionPool(capacity=2)
         a = _put(pool, "a"); pool.unpin(a)
         b = _put(pool, "b"); pool.unpin(b)
         pool.pin("a")  # refresh a; b is now LRU
@@ -295,7 +297,7 @@ class TestSessionPool:
         assert pool.pin("a") is not None
 
     def test_pinned_entries_survive_eviction_pressure(self):
-        pool = SessionPool(capacity=1, shards=1)
+        pool = SessionPool(capacity=1)
         pinned = _put(pool, "hot")  # stays pinned
         other = _put(pool, "cold")
         assert not pinned.session.closed
@@ -304,7 +306,7 @@ class TestSessionPool:
         pool.unpin(other)
 
     def test_racing_put_keeps_the_resident_entry(self):
-        pool = SessionPool(capacity=4, shards=1)
+        pool = SessionPool(capacity=4)
         first = _put(pool, "k")
         second = _put(pool, "k")
         assert second is first
@@ -313,7 +315,7 @@ class TestSessionPool:
         pool.unpin(first)
 
     def test_invalidate_prefix_evicts_all_rungs_of_a_matrix(self):
-        pool = SessionPool(capacity=8, shards=2)
+        pool = SessionPool(capacity=8)
         full = _put(pool, "fp1:full"); pool.unpin(full)
         ident = _put(pool, "fp1:identity"); pool.unpin(ident)
         other = _put(pool, "fp2:full"); pool.unpin(other)
@@ -324,7 +326,7 @@ class TestSessionPool:
         pool.unpin(other)
 
     def test_invalidate_prefix_leaves_pinned_entries_running(self):
-        pool = SessionPool(capacity=8, shards=1)
+        pool = SessionPool(capacity=8)
         busy = _put(pool, "fp1:full")  # still pinned: a request is running
         assert pool.invalidate_prefix("fp1") == 1
         assert not busy.session.closed  # finishes on the detached session
@@ -332,25 +334,24 @@ class TestSessionPool:
         pool.unpin(busy)
 
     def test_unpin_without_pin_raises(self):
-        pool = SessionPool(capacity=4, shards=1)
+        pool = SessionPool(capacity=4)
         entry = _put(pool, "k")
         pool.unpin(entry)
         with pytest.raises(AssertionError):
             pool.unpin(entry)
 
     def test_occupancy_snapshot(self):
-        pool = SessionPool(capacity=4, shards=2)
+        pool = SessionPool(capacity=4)
         entry = _put(pool, "k1", rung="identity", backend="numpy")
         occ = pool.occupancy()
         assert occ["capacity"] == 4 and occ["entries"] == 1 and occ["pinned"] == 1
-        keys = [k for shard in occ["shards"] for k in shard["keys"]]
-        assert keys == [
+        assert occ["keys"] == [
             {"key": "k1", "rung": "identity", "refs": 1, "backend": "numpy"}
         ]
         pool.unpin(entry)
 
     def test_eviction_fault_is_absorbed(self):
-        pool = SessionPool(capacity=1, shards=1)
+        pool = SessionPool(capacity=1)
         a = _put(pool, "a"); pool.unpin(a)
         with FaultInjector(rate=1.0, seed=7, sites=["serve.pool_evict"]):
             b = _put(pool, "b")  # evicts a; injected fault must not escape
@@ -359,7 +360,7 @@ class TestSessionPool:
         assert not a.session.closed  # fault fired before close()
 
     def test_clear_leaves_pinned_entries(self):
-        pool = SessionPool(capacity=4, shards=2)
+        pool = SessionPool(capacity=4)
         held = _put(pool, "held")
         loose = _put(pool, "loose"); pool.unpin(loose)
         pool.clear()
@@ -367,13 +368,31 @@ class TestSessionPool:
         assert loose.session.closed
         pool.unpin(held)
 
-    def test_sharding_is_hashseed_independent(self):
-        # BLAKE2b placement: the same keys land in the same shards in
-        # every process, whatever PYTHONHASHSEED says.
-        pool = SessionPool(capacity=8, shards=4)
-        placements = [pool._shard_for(f"key{i}") for i in range(16)]
-        again = [pool._shard_for(f"key{i}") for i in range(16)]
-        assert placements == again
+    def test_capacity_holds_any_keys_without_eviction(self):
+        # Four matrices at the default capacity of 8 must all stay warm,
+        # including keys that an earlier hash-sharded layout (BLAKE2b
+        # placement over 4 shards of 2) put on one shard, where each
+        # insert evicted a sibling.
+        def old_shard(key):
+            digest = hashlib.blake2b(key.encode("utf-8"), digest_size=4).digest()
+            return int.from_bytes(digest, "little") % 4
+
+        candidates = [f"fp{i}:full" for i in range(64)]
+        colliding = [k for k in candidates if old_shard(k) == 0][:4]
+        assert len(colliding) == 4
+        evicts = METRICS.counter("serve.pool_evict")
+        for keys in (colliding, candidates[:4]):
+            pool = SessionPool(capacity=8)
+            before = evicts.value
+            entries = []
+            for _ in range(3):  # repeated rounds: every key stays a hit
+                for key in keys:
+                    entry = pool.pin(key) or _put(pool, key)
+                    entries.append(entry)
+                    pool.unpin(entry)
+            assert evicts.value == before
+            assert len(pool) == 4
+            assert not any(e.session.closed for e in entries)
 
 
 # ----------------------------------------------------------------------

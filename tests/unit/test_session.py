@@ -7,7 +7,7 @@ import pytest
 
 from repro.aspt import tile_matrix
 from repro.datasets import hidden_clusters
-from repro.kernels import KernelSession, spmm, spmm_tiled
+from repro.kernels import KernelSession, spmm_gather_reference, spmm_tiled
 from repro.reorder import ReorderConfig, build_plan
 from repro.util.workspace import WorkspacePool
 
@@ -27,36 +27,40 @@ def X(matrix):
 class TestCsrSession:
     def test_bitwise_matches_oneshot(self, matrix, X):
         session = KernelSession(matrix)
-        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+        np.testing.assert_array_equal(session.run(X), spmm_gather_reference(matrix, X))
 
     def test_bitwise_on_random_matrices(self, rng):
         for _ in range(3):
             csr = random_csr(rng, 30, 17, density=0.2)
             X = rng.normal(size=(17, 9))
-            np.testing.assert_array_equal(KernelSession(csr).run(X), spmm(csr, X))
+            np.testing.assert_array_equal(
+                KernelSession(csr).run(X), spmm_gather_reference(csr, X)
+            )
 
     def test_float32_operand(self, matrix):
         X32 = np.random.default_rng(5).normal(size=(matrix.n_cols, 8))
         X32 = X32.astype(np.float32)
         got = KernelSession(matrix).run(X32)
         assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, spmm(matrix, X32))
+        np.testing.assert_array_equal(got, spmm_gather_reference(matrix, X32))
 
     def test_chunk_smaller_than_k(self, matrix, X):
         session = KernelSession(matrix, chunk_k=5)  # forces several chunks
-        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+        np.testing.assert_array_equal(session.run(X), spmm_gather_reference(matrix, X))
 
     def test_empty_rows_zeroed(self, rng):
         csr = random_csr(rng, 20, 10, density=0.05)  # sparse enough for gaps
         X = rng.normal(size=(10, 4))
-        np.testing.assert_array_equal(KernelSession(csr).run(X), spmm(csr, X))
+        np.testing.assert_array_equal(
+            KernelSession(csr).run(X), spmm_gather_reference(csr, X)
+        )
 
     def test_out_parameter_is_used_and_returned(self, matrix, X):
         session = KernelSession(matrix)
         out = np.empty((matrix.n_rows, X.shape[1]))
         got = session.run(X, out=out)
         assert got is out
-        np.testing.assert_array_equal(out, spmm(matrix, X))
+        np.testing.assert_array_equal(out, spmm_gather_reference(matrix, X))
 
     def test_default_output_is_reused_per_thread(self, matrix, X):
         session = KernelSession(matrix)
@@ -78,8 +82,10 @@ class TestCsrSession:
         session = KernelSession(matrix)
         results = session.run_many([X, X * 2.0])
         assert results[0] is not results[1]
-        np.testing.assert_array_equal(results[0], spmm(matrix, X))
-        np.testing.assert_array_equal(results[1], spmm(matrix, X * 2.0))
+        np.testing.assert_array_equal(results[0], spmm_gather_reference(matrix, X))
+        np.testing.assert_array_equal(
+            results[1], spmm_gather_reference(matrix, X * 2.0)
+        )
 
     def test_shared_pool(self, matrix, X):
         pool = WorkspacePool()
@@ -92,13 +98,13 @@ class TestCsrSession:
         session.run(X)
         session.close()
         assert session.pool.held_bytes == 0
-        np.testing.assert_array_equal(session.run(X), spmm(matrix, X))
+        np.testing.assert_array_equal(session.run(X), spmm_gather_reference(matrix, X))
 
     def test_concurrent_runs_are_bitwise_correct(self, matrix):
         session = KernelSession(matrix)
         rng = np.random.default_rng(17)
         operands = [rng.normal(size=(matrix.n_cols, 16)) for _ in range(6)]
-        expected = [spmm(matrix, X) for X in operands]
+        expected = [spmm_gather_reference(matrix, X) for X in operands]
         results = [None] * len(operands)
         errors = []
 
