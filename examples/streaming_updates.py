@@ -21,9 +21,9 @@ from repro.aspt import tile_matrix
 from repro.datasets import bipartite_ratings
 from repro.experiments.config import ExperimentConfig
 from repro.gpu import GPUExecutor
+from repro.observability import span, tracing
 from repro.reorder import OnlineReorderer, ReorderConfig, build_plan
 from repro.sparse import permute_csr_rows
-from repro.util.timing import Timer
 
 
 def main() -> None:
@@ -36,19 +36,19 @@ def main() -> None:
 
     # ---- ingest the stream ------------------------------------------------
     online = OnlineReorderer(ratings.n_cols, siglen=128, bsize=2, seed=0)
-    with Timer() as t_online:
+    with tracing(), span("online_ingest") as ingest:
         for i in range(ratings.n_rows):
             online.insert_row(ratings.row_cols(i))
-    print(f"online ingest: {t_online.elapsed:.2f}s total "
-          f"({t_online.elapsed / ratings.n_rows * 1e3:.2f} ms/row), "
+    print(f"online ingest: {ingest.duration:.2f}s total "
+          f"({ingest.duration / ratings.n_rows * 1e3:.2f} ms/row), "
           f"{online.n_clusters} clusters")
 
     # ---- batch pipeline for reference --------------------------------------
-    with Timer() as t_batch:
+    with tracing(), span("batch_pipeline") as batch:
         plan = build_plan(
             ratings, ReorderConfig(panel_height=16, force_round1=True)
         )
-    print(f"batch pipeline: {t_batch.elapsed:.2f}s "
+    print(f"batch pipeline: {batch.duration:.2f}s "
           f"(one-shot; must re-run after every batch of arrivals)")
 
     # ---- modelled SpMM cost of the three orderings -------------------------

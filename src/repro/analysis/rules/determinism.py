@@ -168,16 +168,17 @@ class SetIterationRule(Rule):
 class WallClockRule(Rule):
     """RD104: clock reads inside kernel/tiling/clustering code.
 
-    Timing belongs to the callers (``util.timing``); a clock read inside a
-    transformation lets measurement perturb results, the failure mode the
-    reordering-effectiveness literature warns about.
+    Timing belongs to the callers (``repro.observability`` spans and
+    stages); a clock read inside a transformation lets measurement perturb
+    results, the failure mode the reordering-effectiveness literature warns
+    about.
     """
 
     code = "RD104"
     name = "wall-clock-in-kernel-code"
     summary = (
         "clock read inside kernels/aspt/clustering; time at the call site "
-        "with repro.util.timing instead"
+        "with a repro.observability span or Stages instead"
     )
     scope_key = "wallclock-paths"
 
@@ -198,7 +199,7 @@ class WallClockRule(Rule):
                     yield ctx.finding(
                         node, self.code,
                         f"{module}.{func.attr}() inside transformation code; "
-                        "move timing to the caller (repro.util.timing)",
+                        "move timing to the caller (repro.observability)",
                     )
                     break
 

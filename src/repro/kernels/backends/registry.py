@@ -28,10 +28,9 @@ import warnings
 from repro.errors import BackendUnavailable, ConfigError, DegradedExecution
 from repro.kernels.backends.base import CompiledKernel, KernelBackend, SpecializationSpec
 from repro.observability.metrics import METRICS
-from repro.observability.tracing import span
+from repro.observability.tracing import Stages
 from repro.resilience.faults import fault_point
 from repro.util.log import get_logger
-from repro.util.timing import timed
 
 __all__ = [
     "register_backend",
@@ -146,17 +145,18 @@ def compiled_artifact(
         cached = _ARTIFACTS.get(key)
     if cached is not None:
         return cached
-    times: dict[str, float] = {}
-    with span("backend.compile", backend=backend.name, kernel=spec.kernel):
+    stages = Stages()
+    with stages(
+        "compile", "backend.compile", backend=backend.name, kernel=spec.kernel
+    ):
         fault_point("backend.compile")
         if not backend.available():
             raise BackendUnavailable(
                 f"backend {backend.name!r} cannot compile here: "
                 f"{backend.unavailable_reason() or 'unavailable'}"
             )
-        with timed(times, "compile"):
-            kernel = backend.compile(spec)
-    kernel = dataclasses.replace(kernel, compile_seconds=times["compile"])
+        kernel = backend.compile(spec)
+    kernel = dataclasses.replace(kernel, compile_seconds=stages.seconds["compile"])
     METRICS.counter(
         "kernels.backend_compile", "compiled-kernel artifacts built (cache misses)"
     ).inc()

@@ -30,6 +30,7 @@ from repro.observability.metrics import (
 from repro.observability.report import format_metrics, trace_summary
 from repro.observability.tracing import (
     Span,
+    Stages,
     Tracer,
     active_tracer,
     install_tracer,
@@ -45,6 +46,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
+    "Stages",
     "Tracer",
     "active_tracer",
     "format_metrics",

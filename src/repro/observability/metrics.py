@@ -52,7 +52,7 @@ Instrument catalogue (see ``docs/OBSERVABILITY.md``):
 ``serve.rung``                   gauge of the last-planned ladder rung
 ``serve.breaker_trip``           compile circuit-breaker open transitions
 ``serve.coalesced``              requests riding a coalesced batch
-``serve.latency_s``              histogram of admitted spmm latency
+``serve.latency_s``              admitted spmm latency, line read to response encoded
 =============================== ==========================================
 """
 

@@ -39,6 +39,7 @@ from contextlib import contextmanager
 __all__ = [
     "ENV_VAR",
     "Span",
+    "Stages",
     "Tracer",
     "span",
     "tracing",
@@ -332,6 +333,48 @@ def span(name: str, **attrs):
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, **attrs)
+
+
+class Stages:
+    """Per-stage seconds, measured by the stage spans themselves.
+
+    ``with stages("lsh1"):`` opens ``span("lsh1")`` and adds the block's
+    elapsed seconds to ``stages.seconds["lsh1"]`` (accumulating when a
+    key repeats, also when the block raises).  With a tracer installed
+    the seconds *are* the span's duration, so the stage timings and the
+    trace come from the same two clock reads; with none, the stage reads
+    ``clock`` twice.  Pass ``name`` when the span is called differently
+    from the key (``stages("lsh", "streaming.lsh")``), or ``name=None``
+    for a stage that opens no span — it still reads the tracer's clock
+    when one is installed.  Keyword arguments become span attributes.
+
+    The function that returns the seconds owns its ``Stages``, so an
+    aborted computation never leaves partial timings in a caller's dict.
+    """
+
+    __slots__ = ("seconds", "clock")
+
+    def __init__(self, *, clock=time.perf_counter) -> None:
+        self.seconds: dict[str, float] = {}
+        self.clock = clock
+
+    @contextmanager
+    def __call__(self, key: str, name: str | None = "", **attrs):
+        tracer = _ACTIVE
+        if tracer is not None and name is not None:
+            span_ = tracer.span(name or key, **attrs)
+            try:
+                with span_:
+                    yield
+            finally:
+                self.seconds[key] = self.seconds.get(key, 0.0) + span_.duration
+            return
+        clock = self.clock if tracer is None else tracer.clock
+        t0 = clock()
+        try:
+            yield
+        finally:
+            self.seconds[key] = self.seconds.get(key, 0.0) + (clock() - t0)
 
 
 if os.environ.get(ENV_VAR, "") not in ("", "0"):

@@ -31,14 +31,13 @@ from repro.kernels.aspt_spmm import _panel_dense_spmm
 from repro.kernels.spmm import spmm, spmm_gather_reference
 from repro.kernels.sddmm import sddmm
 from repro.observability.metrics import METRICS
-from repro.observability.tracing import span
+from repro.observability.tracing import Stages, span
 from repro.reorder.heuristics import should_reorder_round1, should_reorder_round2
 from repro.similarity.jaccard import average_consecutive_similarity
 from repro.similarity.lsh import LSHIndex
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import permute_csr_rows
 from repro.util.arrayops import rank_of_permutation
-from repro.util.timing import timed
 from repro.util.validation import check_dense, check_positive
 
 __all__ = [
@@ -525,22 +524,22 @@ def _build_plan_cached(csr, config, cache, deadline) -> ExecutionPlan:
     """The cache-wrapped build (hit -> materialise, miss -> build + put)."""
     from repro.planstore.decisions import PlanDecisions
 
-    times: dict[str, float] = {}
+    stages = Stages()
     plan = None
-    with timed(times, "total"):
+    with stages("total", None):
         key = cache.key_for(csr, config)
-        with span("cache_lookup"), timed(times, "cache_lookup"):
+        with stages("cache_lookup"):
             decisions = cache.get(key)
         if decisions is not None:
-            with span("materialise"), timed(times, "materialise"):
+            with stages("materialise"):
                 plan = decisions.materialise(csr, config)
         else:
             plan = _build_plan_uncached(csr, config, deadline=deadline)
             cache.put(key, PlanDecisions.from_plan(plan))
-    if "materialise" in times:  # warm hit: breakdown is lookup+materialise
-        plan.preprocess_seconds.update(times)
+    if "materialise" in stages.seconds:  # warm hit: breakdown is lookup+materialise
+        plan.preprocess_seconds.update(stages.seconds)
     else:  # cold build: keep the stage breakdown, note the lookup cost
-        plan.preprocess_seconds["cache_lookup"] = times["cache_lookup"]
+        plan.preprocess_seconds["cache_lookup"] = stages.seconds["cache_lookup"]
     return plan
 
 
@@ -591,12 +590,10 @@ def _build_plan_uncached(
     csr: CSRMatrix, config: ReorderConfig, *, deadline=None
 ) -> ExecutionPlan:
     """The actual Fig. 5 workflow (no cache consultation)."""
-    times: dict[str, float] = {}
+    stages = Stages()
     lsh = config.lsh_index()
 
-    with span("build_plan", rows=csr.n_rows, cols=csr.n_cols, nnz=csr.nnz), timed(
-        times, "total"
-    ):
+    with stages("total", "build_plan", rows=csr.n_rows, cols=csr.n_cols, nnz=csr.nnz):
         # ---- round 1 gate + reorder -----------------------------------
         gate1 = should_reorder_round1(
             csr,
@@ -607,10 +604,10 @@ def _build_plan_uncached(
         do_round1 = gate1.reorder if config.force_round1 is None else config.force_round1
         n_cand1 = 0
         if do_round1:
-            with span("lsh1"), timed(times, "lsh1"):
+            with stages("lsh1"):
                 pairs, sims = lsh.candidate_pairs(csr, deadline=deadline)
             n_cand1 = int(pairs.shape[0])
-            with span("cluster1", pairs=n_cand1), timed(times, "cluster1"):
+            with stages("cluster1", pairs=n_cand1):
                 clustering = cluster_rows(
                     csr, pairs, sims,
                     threshold_size=config.threshold_size,
@@ -618,7 +615,7 @@ def _build_plan_uncached(
                     deadline=deadline,
                 )
             row_order = clustering.order
-            with span("permute1"), timed(times, "permute1"):
+            with stages("permute1"):
                 reordered = permute_csr_rows(csr, row_order)
         else:
             row_order = np.arange(csr.n_rows, dtype=np.int64)
@@ -627,7 +624,7 @@ def _build_plan_uncached(
         # ---- tiling -----------------------------------------------------
         if deadline is not None:
             deadline.check("tile")
-        with span("tile"), timed(times, "tile"):
+        with stages("tile"):
             tiled = tile_matrix(
                 reordered,
                 config.panel_height,
@@ -638,19 +635,19 @@ def _build_plan_uncached(
         # ---- round 2 gate + reorder of the remainder -------------------
         if deadline is not None:
             deadline.check("sim2")
-        with span("sim2"), timed(times, "sim2"):
+        with stages("sim2"):
             gate2 = should_reorder_round2(
                 tiled.sparse_part, skip_above=config.avg_sim_skip
             )
         do_round2 = gate2.reorder if config.force_round2 is None else config.force_round2
         n_cand2 = 0
         if do_round2 and tiled.sparse_part.nnz:
-            with span("lsh2"), timed(times, "lsh2"):
+            with stages("lsh2"):
                 pairs2, sims2 = lsh.candidate_pairs(
                     tiled.sparse_part, deadline=deadline
                 )
             n_cand2 = int(pairs2.shape[0])
-            with span("cluster2", pairs=n_cand2), timed(times, "cluster2"):
+            with stages("cluster2", pairs=n_cand2):
                 clustering2 = cluster_rows(
                     tiled.sparse_part,
                     pairs2,
@@ -683,6 +680,6 @@ def _build_plan_uncached(
         remainder=remainder,
         remainder_order=remainder_order,
         stats=stats,
-        preprocess_seconds=times,
+        preprocess_seconds=stages.seconds,
     )
     return attach_backend(plan, config)

@@ -58,6 +58,18 @@ from repro.serve.shedding import CircuitBreaker, LoadShedController
 __all__ = ["SpmmServer", "run_server"]
 
 
+class _Request:
+    """One protocol line in flight: when it was read, and whether it was
+    an ``spmm`` that admission let in (only those feed the latency
+    histogram and the shed controller)."""
+
+    __slots__ = ("t_read", "admitted")
+
+    def __init__(self, t_read: float):
+        self.t_read = t_read
+        self.admitted = False
+
+
 class _Member:
     """One request riding a coalesced batch."""
 
@@ -227,8 +239,9 @@ class SpmmServer:
                     break
                 if not line.strip():
                     continue
-                response = await self._handle_line(line)
-                await self._send(writer, response)
+                request = _Request(self._clock())
+                response = await self._handle_line(line, request)
+                await self._send(writer, response, request)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
@@ -237,12 +250,20 @@ class SpmmServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _send(self, writer, response: dict) -> None:
+    async def _send(
+        self, writer, response: dict, request: _Request | None = None
+    ) -> None:
         writer.write(encode_message(response))
+        if request is not None and request.admitted:
+            # An admitted spmm's latency runs from its line being read to
+            # its response being encoded and handed to the writer.
+            latency = self._clock() - request.t_read
+            self.shedder.observe(latency)
+            self._latency.observe(latency)
         with contextlib.suppress(ConnectionError):
             await writer.drain()
 
-    async def _handle_line(self, line: bytes) -> dict:
+    async def _handle_line(self, line: bytes, request: _Request) -> dict:
         self._requests.inc()
         try:
             msg = decode_message(line)
@@ -251,7 +272,7 @@ class SpmmServer:
             return {"status": STATUS_ERROR, "error": str(exc)}
         rid = msg.get("id")
         try:
-            response = await self._dispatch(msg)
+            response = await self._dispatch(msg, request)
         except (ReproError, ShapeError) as exc:
             self._errors.inc()
             response = {
@@ -269,14 +290,14 @@ class SpmmServer:
             response.setdefault("id", rid)
         return response
 
-    async def _dispatch(self, msg: dict) -> dict:
+    async def _dispatch(self, msg: dict, request: _Request) -> dict:
         op = msg.get("op")
         if op == "ping":
             return {"status": STATUS_OK, "pong": True, "version": PROTOCOL_VERSION}
         if op == "upload":
             return await self._op_upload(msg)
         if op == "spmm":
-            return await self._op_spmm(msg)
+            return await self._op_spmm(msg, request)
         if op == "delta":
             return await self._op_delta(msg)
         if op == "health":
@@ -385,20 +406,18 @@ class SpmmServer:
             "matrices": len(self._matrices),
         }
 
-    async def _op_spmm(self, msg: dict) -> dict:
+    async def _op_spmm(self, msg: dict, request: _Request) -> dict:
         if self._draining:
             return {"status": STATUS_DRAINING}
         tenant = str(msg.get("tenant", "default"))
         rejection = self.admission.admit(tenant)
         if rejection is not None:
             return {"status": rejection}
-        t0 = self._clock()
+        request.admitted = True
         try:
             return await self._admitted_spmm(msg)
         finally:
             self.admission.release()
-            self.shedder.observe(self._clock() - t0)
-            self._latency.observe(self._clock() - t0)
 
     async def _admitted_spmm(self, msg: dict) -> dict:
         # Resolve the operator matrix.

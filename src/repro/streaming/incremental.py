@@ -48,7 +48,7 @@ from repro.aspt.tiles import TiledMatrix, _split_by_mask, tile_matrix
 from repro.clustering.hierarchical import cluster_rows
 from repro.errors import TimeoutExceeded
 from repro.observability.metrics import METRICS
-from repro.observability.tracing import span
+from repro.observability.tracing import Stages
 from repro.reorder.heuristics import should_reorder_round1, should_reorder_round2
 from repro.reorder.pipeline import (
     ExecutionPlan,
@@ -64,7 +64,6 @@ from repro.sparse.ops import permute_csr_rows
 from repro.streaming.delta import DeltaBatch
 from repro.streaming.state import LshState
 from repro.util.arrayops import rank_of_permutation
-from repro.util.timing import timed
 
 __all__ = ["UpdateReport", "PlanUpdate", "apply_delta", "StreamingPlan"]
 
@@ -270,10 +269,11 @@ def _retile(plan, reordered, row_order, dirty, n_new, config):
     return tiled, int(dirty_panels.size)
 
 
-def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
-           gate1, do_round1):
+def _patch(plan, csr_new, dirty, n_new, state, config, deadline, gate1, do_round1):
     """The incremental pipeline; mirrors ``_build_plan_uncached`` stage
-    by stage (same gates, same stats), patching where provably exact."""
+    by stage (same gates, same stats), patching where provably exact.
+    The patched plan's ``preprocess_seconds`` holds the stage timings."""
+    stages = Stages()
     lsh = config.lsh_index()
     pattern_unchanged = _pattern_unchanged(csr_new, plan.original)
     n_cand1 = 0
@@ -281,7 +281,7 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
     reused_clustering = False
     state_new = None
     if do_round1:
-        with span("streaming.lsh"), timed(times, "lsh"):  # reprolint: disable=RD602 -- `times` holds timing telemetry only; an aborted patch replans and the partial stage entries never reach a returned plan
+        with stages("lsh", "streaming.lsh"):
             if pattern_unchanged:
                 # Signatures, band keys, pairs and scores are all pattern
                 # functions: recomputing the dirty rows would reproduce
@@ -312,7 +312,7 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
             row_order = plan.row_order
             reused_clustering = True
         else:
-            with span("streaming.cluster", pairs=n_cand1), timed(times, "cluster"):  # reprolint: disable=RD602 -- timing telemetry only; see the lsh-stage note
+            with stages("cluster", "streaming.cluster", pairs=n_cand1):
                 clustering = cluster_rows(
                     csr_new,
                     pairs,
@@ -322,7 +322,7 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
                     deadline=deadline,
                 )
             row_order = clustering.order
-        with timed(times, "permute"):  # reprolint: disable=RD602 -- timing telemetry only; see the lsh-stage note
+        with stages("permute", None):
             reordered = permute_csr_rows(csr_new, row_order)
     else:
         row_order = np.arange(csr_new.n_rows, dtype=np.int64)
@@ -331,7 +331,7 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
     if deadline is not None:
         deadline.check("tile")
     fault_point("streaming.update")
-    with span("streaming.tile"), timed(times, "tile"):
+    with stages("tile", "streaming.tile"):
         # A value-only delta leaves every panel's pattern intact: retile
         # with no dirty rows so each panel takes the copy-old-mask path.
         tile_dirty = np.empty(0, dtype=np.int64) if pattern_unchanged else dirty
@@ -345,7 +345,7 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
     # construction.
     if deadline is not None:
         deadline.check("sim2")
-    with span("streaming.round2"), timed(times, "round2"):
+    with stages("round2", "streaming.round2"):
         if pattern_unchanged and np.array_equal(row_order, plan.row_order):
             # Value-only fast path: the remainder carries the exact old
             # pattern, and the round-2 gate, candidate pairs, clustering
@@ -408,7 +408,7 @@ def _patch(plan, csr_new, dirty, n_new, state, config, times, deadline,
         remainder=remainder,
         remainder_order=remainder_order,
         stats=stats,
-        preprocess_seconds=times,
+        preprocess_seconds=stages.seconds,
         revision=plan.revision + 1,
     )
     return attach_backend(patched, config), state_new, reused_clustering, (
@@ -459,15 +459,16 @@ def apply_delta(
     PlanUpdate
     """
     config = config or ReorderConfig()
-    times: dict[str, float] = {}
-    with span(
+    stages = Stages()
+    with stages(
+        "total",
         "streaming.apply_delta",
         rows=plan.original.n_rows,
         entries=delta.n_entries,
         new_rows=delta.new_rows,
-    ), timed(times, "total"):
+    ):
         m_old = plan.original.n_rows
-        with timed(times, "delta_apply"):
+        with stages("delta_apply", None):
             csr_new = delta.apply_to(plan.original)
         dirty = delta.dirty_existing_rows(m_old)
         n_new = delta.new_rows
@@ -502,7 +503,7 @@ def apply_delta(
                     panels_retiled,
                     pairs_rescored,
                 ) = _patch(
-                    plan, csr_new, dirty, n_new, state, config, times,
+                    plan, csr_new, dirty, n_new, state, config,
                     deadline, gate1, do_round1,
                 )
             except (TimeoutExceeded, MemoryError) as exc:
@@ -512,7 +513,7 @@ def apply_delta(
 
         if plan_new is None:
             mode = "replanned"
-            with span("streaming.replan"), timed(times, "replan"):
+            with stages("replan", "streaming.replan"):
                 plan_new = build_plan(
                     csr_new, config, cache=cache, resilience=resilience
                 )
@@ -527,7 +528,12 @@ def apply_delta(
 
             cache.put(cache.key_for(csr_new, config), PlanDecisions.from_plan(plan_new))
 
+    seconds = stages.seconds
     if mode == "patched":
+        # The patched plan carries the whole update's timing breakdown:
+        # its own stages plus delta_apply and the total.
+        plan_new.preprocess_seconds.update(seconds)
+        seconds = dict(plan_new.preprocess_seconds)
         METRICS.counter(
             "streaming.updates_patched",
             "streaming updates absorbed by the incremental patch path",
@@ -549,7 +555,7 @@ def apply_delta(
         reused_clustering=reused_clustering,
         panels_retiled=panels_retiled,
         pairs_rescored=pairs_rescored,
-        seconds=times,
+        seconds=seconds,
         provenance=plan_new.provenance,
         timestamp=delta.timestamp,
     )

@@ -2,8 +2,8 @@
 
 The utilities here are deliberately tiny and dependency-free (NumPy only):
 argument validation (:mod:`repro.util.validation`), deterministic RNG
-handling (:mod:`repro.util.rng`), wall-clock timing (:mod:`repro.util.timing`),
-lightweight logging (:mod:`repro.util.log`), vectorised array primitives
+handling (:mod:`repro.util.rng`), lightweight logging
+(:mod:`repro.util.log`), vectorised array primitives
 (:mod:`repro.util.arrayops`) and the reusable scratch-buffer pool backing
 the zero-allocation kernel paths (:mod:`repro.util.workspace`).
 """
@@ -19,7 +19,6 @@ from repro.util.arrayops import (
 )
 from repro.util.hashing import digest_arrays, stable_digest
 from repro.util.rng import as_generator, spawn_generators
-from repro.util.timing import Timer, timed
 from repro.util.workspace import Workspace, WorkspacePool
 from repro.util.validation import (
     check_dense,
@@ -42,8 +41,6 @@ __all__ = [
     "stable_digest",
     "as_generator",
     "spawn_generators",
-    "Timer",
-    "timed",
     "Workspace",
     "WorkspacePool",
     "check_dense",

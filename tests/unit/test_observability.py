@@ -1,6 +1,7 @@
 """Tests for the observability layer (repro.observability).
 
 Covers the tracer (span trees, Chrome export, golden schema snapshot),
+the ``Stages`` recorder (stage seconds taken from the stage spans),
 the gating contract (module-level ``span`` is a shared no-op until a
 tracer is installed), the metrics registry, the counter-migration
 compatibility surfaces (WorkspacePool, CacheStats, KernelSession,
@@ -23,6 +24,7 @@ from repro.observability import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Stages,
     Tracer,
     active_tracer,
     format_metrics,
@@ -205,6 +207,46 @@ class TestChromeTrace:
             ],
             "displayTimeUnit": "ms",
         }
+
+
+class TestStages:
+    def test_accumulates_repeated_keys(self):
+        stages = Stages(clock=FakeClock(step=1.0))
+        with stages("x"):
+            pass
+        with stages("x"):
+            pass
+        assert stages.seconds == {"x": 2.0}
+
+    def test_seconds_are_span_durations(self, fake_clock):
+        tracer = Tracer(clock=fake_clock, pid=1)
+        stages = Stages(clock=FakeClock(start=1e6))  # unused while traced
+        with tracing(tracer):
+            with stages("total", "outer", nnz=3):
+                with stages("inner"):
+                    pass
+        (outer,) = tracer.roots
+        (inner,) = outer.children
+        assert (outer.name, outer.attrs, inner.name) == ("outer", {"nnz": 3}, "inner")
+        assert stages.seconds == {"total": outer.duration, "inner": inner.duration}
+
+    def test_spanless_stage_reads_the_tracer_clock(self, fake_clock):
+        tracer = Tracer(clock=fake_clock, pid=1)
+        stages = Stages(clock=FakeClock(start=1e6))
+        with tracing(tracer):
+            with stages("quiet", None):
+                pass
+        assert tracer.roots == []
+        assert stages.seconds == {"quiet": 1.0}
+
+    def test_raising_stage_is_recorded_and_propagates(self, fake_clock):
+        tracer = Tracer(clock=fake_clock, pid=1)
+        stages = Stages()
+        with tracing(tracer), pytest.raises(RuntimeError):
+            with stages("boom"):
+                raise RuntimeError("x")
+        assert tracer.roots[0].error == "RuntimeError"
+        assert stages.seconds == {"boom": tracer.roots[0].duration}
 
 
 class TestGating:

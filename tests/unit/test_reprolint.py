@@ -79,7 +79,7 @@ class TestDeterminismRules:
 
     def test_wallclock_only_in_kernel_scopes(self):
         findings = lint_fixture(
-            "flagged_determinism.py", module_path="repro/util/timing.py"
+            "flagged_determinism.py", module_path="repro/observability/tracing.py"
         )
         assert "RD104" not in codes_of(findings)
 

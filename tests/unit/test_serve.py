@@ -697,6 +697,36 @@ class TestServerDelta:
             assert client.ping()["status"] == STATUS_OK  # connection survives
 
 
+class TestServeLatencyClock:
+    def test_latency_covers_the_response_encode(self, rng, monkeypatch):
+        """``serve.latency_s`` and the shed controller's p95 time an
+        admitted spmm from its line being read to its response being
+        encoded, so a slow encode shows in both."""
+        import repro.serve.server as server_module
+
+        clock = ManualClock()
+        real_encode = server_module.encode_message
+
+        def slow_encode(message):
+            clock.advance(1.0)
+            return real_encode(message)
+
+        monkeypatch.setattr(server_module, "encode_message", slow_encode)
+        csr = random_csr(rng, 24, 16, density=0.2)
+        config = ServeConfig(port=0, workers=1, panel_height=8)
+        before = METRICS.snapshot().get("serve.latency_s", {})
+        with ServerThread(config, clock=clock) as srv:
+            with ServeClient(srv.address) as client:
+                fingerprint = client.upload(csr)["fingerprint"]
+                resp = client.spmm(np.ones((csr.n_cols, 2)), fingerprint=fingerprint)
+                assert resp["status"] == STATUS_OK
+            p95 = srv.server.shedder.p95()
+        after = METRICS.snapshot()["serve.latency_s"]
+        assert after["count"] - before.get("count", 0) == 1
+        assert after["sum"] - before.get("sum", 0.0) == pytest.approx(1.0)
+        assert p95 == pytest.approx(1.0)
+
+
 class TestServerDrain:
     def test_drain_rejects_new_work_then_closes(self, rng):
         csr = random_csr(rng, 20, 16, density=0.2)

@@ -1,11 +1,10 @@
-"""Unit tests for repro.util.validation and repro.util.rng/timing."""
+"""Unit tests for repro.util.validation and repro.util.rng."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError, ShapeError, ValidationError
 from repro.util.rng import as_generator, spawn_generators
-from repro.util.timing import Timer, timed
 from repro.util.validation import (
     check_dense,
     check_in_range,
@@ -233,39 +232,3 @@ class TestRng:
     def test_spawn_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_generators(0, -1)
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert len(t.laps) == 2
-        assert t.elapsed == pytest.approx(sum(t.laps))
-
-    def test_double_start_raises(self):
-        t = Timer().start()
-        with pytest.raises(RuntimeError):
-            t.start()
-        t.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0 and t.laps == []
-
-    def test_timed_contextmanager(self):
-        sink = {}
-        with timed(sink, "x"):
-            pass
-        with timed(sink, "x"):
-            pass
-        assert sink["x"] >= 0.0
