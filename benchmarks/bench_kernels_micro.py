@@ -13,7 +13,13 @@ from repro.aspt import tile_matrix
 from repro.clustering import cluster_rows
 from repro.datasets import hidden_clusters, uniform_random
 from repro.gpu.cache import approx_lru_hits, lru_hits
-from repro.kernels import KernelSession, sddmm, spmm, spmm_tiled
+from repro.kernels import (
+    KernelSession,
+    sddmm,
+    spmm,
+    spmm_gather_reference,
+    spmm_tiled,
+)
 from repro.reorder import ReorderConfig, build_plan
 from repro.similarity import LSHIndex, minhash_signatures
 from repro.sparse import permute_csr_rows
@@ -53,10 +59,9 @@ class TestKernelThroughput:
     def test_spmm_session_steady_state(self, benchmark, matrix, dense_ops):
         X, _ = dense_ops
         session = KernelSession(matrix)
-        session.run(X)  # pay the pool misses before timing
+        session.run(X)  # allocate the pinned output buffer before timing
         Y = benchmark(session.run, X)
-        assert Y.shape == (matrix.n_rows, 128)
-        assert session.stats()["evictions"] == 0
+        np.testing.assert_array_equal(Y, spmm_gather_reference(matrix, X))
 
     def test_spmm_tiled_session_steady_state(self, benchmark, matrix, dense_ops):
         X, _ = dense_ops

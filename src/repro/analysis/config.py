@@ -51,9 +51,6 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
     "clock-injection-paths": ("repro",),
     # ...except the observability layer, which owns the default clock.
     "clock-exempt-paths": ("repro/observability",),
-    # RD105: kernel code whose nnz-proportional scratch must come from the
-    # workspace pool rather than per-call allocation.
-    "workspace-scratch-paths": ("repro/kernels",),
     # RD203: packages whose public entry points must validate sparse args.
     "entrypoint-paths": ("repro/sparse", "repro/aspt", "repro/reorder"),
     # RD204: compiled-backend code, where allocations must name their

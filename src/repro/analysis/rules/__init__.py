@@ -5,7 +5,8 @@ Importing this package registers every rule into
 
 * :mod:`repro.analysis.rules.determinism` — RD101-RD104, plus RD107
   (direct monotonic-clock calls that bypass clock injection)
-* :mod:`repro.analysis.rules.performance` — RD105 (hot-path allocations)
+* :mod:`repro.analysis.rules.performance` — RD108 (blocking calls inside
+  ``async def`` on the serving event loop)
 * :mod:`repro.analysis.rules.numerical` — RD2xx
 * :mod:`repro.analysis.rules.hygiene` — RD3xx, plus RD106 (broad except
   handlers that would swallow resilience-layer control exceptions)

@@ -1,22 +1,12 @@
-"""RD1xx (cont.) — hot-path allocation and event-loop rules.
+"""RD108 — blocking calls on the serving event loop.
 
-The workspace-pool layer (:mod:`repro.util.workspace`) exists so kernel
-scratch proportional to the number of stored non-zeros is leased and
-reused instead of re-allocated on every call — the steady-state serving
-path depends on it.  RD105 keeps that property from silently eroding: a
-fresh ``np.zeros``/``np.empty`` of nnz-proportional size inside a kernel
-that offers no ``workspace`` parameter re-introduces exactly the per-call
-allocation the pool removed.  Reference oracles (which deliberately
-mirror the paper's pseudocode, allocations included) carry justified
-inline suppressions.
-
-RD108 protects the serving layer's event loop: one asyncio loop owns
-every connection of :mod:`repro.serve`, so a single blocking call inside
-an ``async def`` — ``time.sleep``, synchronous file IO, a subprocess
-wait — stalls *all* tenants at once, exactly the head-of-line blocking
-the admission controller exists to prevent.  Blocking work belongs on
-the executor (``loop.run_in_executor``) or behind the asyncio
-equivalents (``asyncio.sleep``, stream APIs).
+One asyncio loop owns every connection of :mod:`repro.serve`, so a
+single blocking call inside an ``async def`` — ``time.sleep``,
+synchronous file IO, a subprocess wait — stalls *all* tenants at once,
+exactly the head-of-line blocking the admission controller exists to
+prevent.  Blocking work belongs on the executor
+(``loop.run_in_executor``) or behind the asyncio equivalents
+(``asyncio.sleep``, stream APIs).
 """
 
 from __future__ import annotations
@@ -25,99 +15,7 @@ import ast
 
 from repro.analysis.core import FileContext, Rule, register
 
-__all__ = ["NnzScratchAllocationRule", "AsyncBlockingCallRule"]
-
-#: Allocation constructors the rule watches.
-_ALLOCATORS = {"zeros", "empty"}
-
-
-def _mentions_nnz(node: ast.AST) -> bool:
-    """True when the expression references ``nnz`` (name or attribute)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "nnz":
-            return True
-        if isinstance(sub, ast.Name) and sub.id == "nnz":
-            return True
-    return False
-
-
-def _is_nnz_allocation(node: ast.Call) -> bool:
-    """``np.zeros``/``np.empty`` whose shape expression mentions ``nnz``."""
-    func = node.func
-    if not (
-        isinstance(func, ast.Attribute)
-        and func.attr in _ALLOCATORS
-        and isinstance(func.value, ast.Name)
-        and func.value.id in ("np", "numpy")
-    ):
-        return False
-    shape = node.args[0] if node.args else None
-    if shape is None:
-        for kw in node.keywords:
-            if kw.arg == "shape":
-                shape = kw.value
-                break
-    return shape is not None and _mentions_nnz(shape)
-
-
-@register
-class NnzScratchAllocationRule(Rule):
-    """RD105: per-call nnz-proportional scratch in workspace-less kernels.
-
-    Flags ``np.zeros``/``np.empty`` calls whose size expression mentions
-    ``nnz`` inside a kernel function that (itself or via an enclosing
-    function) accepts no ``workspace`` parameter.  Such scratch is the
-    exact allocation the workspace pool exists to amortise; either thread
-    ``workspace=`` through the function and lease the buffer, or carry a
-    justified suppression (reference oracles do).
-    """
-
-    code = "RD105"
-    name = "nnz-scratch-without-workspace"
-    summary = (
-        "per-call np.zeros/np.empty of nnz-proportional scratch in a kernel "
-        "without a workspace parameter; lease it from repro.util.workspace"
-    )
-    scope_key = "workspace-scratch-paths"
-
-    @staticmethod
-    def _has_workspace_param(fn: ast.AST) -> bool:
-        args = fn.args
-        every = (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        )
-        return any(arg.arg == "workspace" for arg in every)
-
-    def _walk(self, ctx: FileContext, node: ast.AST, pooled: bool):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            pooled = pooled or self._has_workspace_param(node)
-        elif (
-            not pooled
-            and isinstance(node, ast.Call)
-            and _is_nnz_allocation(node)
-        ):
-            yield ctx.finding(
-                node, self.code,
-                "nnz-proportional scratch allocated per call; accept a "
-                "workspace parameter and lease the buffer from "
-                "repro.util.workspace instead",
-            )
-        for child in ast.iter_child_nodes(node):
-            yield from self._walk(ctx, child, pooled)
-
-    def visit(self, ctx: FileContext):
-        """Flag nnz-sized allocations outside workspace-threaded code.
-
-        Module-level allocations are ignored: they run once at import,
-        not per kernel call.
-        """
-        for top in ast.iter_child_nodes(ctx.tree):
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield from self._walk(ctx, top, False)
+__all__ = ["AsyncBlockingCallRule"]
 
 
 #: ``module.attr`` call targets that block the calling thread.

@@ -107,8 +107,9 @@ def _suite_kernels(quick: bool, backend: str = "numpy") -> dict:
 
     session = KernelSession(matrix)
     tiled_session = KernelSession(tiled)
-    # Warm the pinned scratch before any measurement so the steady state
-    # is what gets timed (the first call pays the pool misses).
+    # Warm each session before any measurement so the steady state is
+    # what gets timed (the first call allocates the pinned output buffer
+    # and faults in the operand's pages).
     session.run(X)
     tiled_session.run(X)
 
@@ -165,7 +166,7 @@ def _suite_kernels(quick: bool, backend: str = "numpy") -> dict:
             workload["backend_degraded"] = list(provenance)
         else:
             backend_session = KernelSession(matrix, backend=backend)
-            backend_session.run(X)  # warm scratch + compiled artifact
+            backend_session.run(X)  # warm output buffer + compiled artifact
             metrics[f"spmm_oneshot@{backend}"] = _metric(
                 lambda: spmm(matrix, X, backend=backend), repeats
             )

@@ -19,7 +19,6 @@ __all__ = [
     "ReproIOError",
     "TimeoutExceeded",
     "CorruptStoreError",
-    "WorkspaceExhausted",
     "BackendUnavailable",
     "DegradedExecution",
     "EXIT_OK",
@@ -102,14 +101,6 @@ class CorruptStoreError(ReproError, RuntimeError):
     """
 
 
-class WorkspaceExhausted(ReproError, MemoryError):
-    """A workspace pool could not serve a scratch lease within its cap.
-
-    :class:`repro.kernels.KernelSession` catches this and falls back to
-    direct allocation (bitwise-identical results, no pooling benefit).
-    """
-
-
 class BackendUnavailable(ReproError, RuntimeError):
     """A compiled kernel backend could not be imported or compiled.
 
@@ -126,7 +117,7 @@ class DegradedExecution(UserWarning):
     """Warning category for degraded-but-correct execution.
 
     Emitted when the degradation ladder settles on a rung below ``full``
-    or a kernel session falls back from pooled to direct allocation.
+    or a kernel backend falls back to the numpy reference.
     Results remain correct; performance characteristics do not.
     """
 

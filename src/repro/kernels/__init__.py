@@ -14,12 +14,10 @@ Two families:
   explicitly staged panel buffer (the functional analogue of the GPU
   shared-memory path) and the remainder row-wise.
 
-All vectorised kernels accept ``workspace=`` (see
-:mod:`repro.util.workspace`) so their large scratch buffers are pooled
-instead of re-allocated per call, and
+Every kernel allocates its own scratch per call.
 :class:`repro.kernels.KernelSession` pins a matrix (or tiled matrix, or
-execution plan) for the repeated-multiply serving case — bitwise-identical
-results at a fraction of the steady-state cost.
+execution plan) for the repeated-multiply serving case: the per-matrix
+state is built once, with bitwise-identical results.
 
 Every vectorised kernel (and :class:`~repro.kernels.KernelSession`)
 additionally accepts ``backend=``, selecting a compiled kernel backend

@@ -9,10 +9,7 @@ tiler partitions the non-zeros exactly, the sum of the two phases equals
 plain SpMM on the original matrix — asserted in the test suite against the
 Alg. 1 oracle.
 
-Like the row-wise kernels, ``spmm_tiled`` accepts ``workspace=`` so the
-panel gather buffers and products scratch are leased from a
-:class:`~repro.util.workspace.WorkspacePool` instead of allocated per
-panel; the panel *metadata* (local column ids, segment starts) can also be
+The panel *metadata* (local column ids, segment starts) can be
 precomputed once via :func:`panel_plan` — that is what
 :class:`repro.kernels.KernelSession` pins for the repeated-multiply case.
 """
@@ -26,7 +23,6 @@ from repro.contracts import checked, invokes
 from repro.kernels.spmm import spmm
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_dense, check_out
-from repro.util.workspace import Workspace, as_workspace
 
 __all__ = ["spmm_tiled", "panel_plan"]
 
@@ -70,35 +66,20 @@ def _panel_dense_spmm(
     panel_height: int,
     out: np.ndarray,
     *,
-    workspace: Workspace | None = None,
     panels: list[tuple] | None = None,
 ) -> None:
     """Accumulate the dense-tile contribution into ``out``.
 
     Mirrors the shared-memory kernel: gather, remap, multiply per panel.
-    With ``workspace`` the buffers are leased; with ``panels`` (from
-    :func:`panel_plan`) the per-panel metadata is not recomputed.  Both
-    paths produce bitwise-identical accumulations.
+    With ``panels`` (from :func:`panel_plan`) the per-panel metadata is
+    not recomputed.
     """
     if panels is None:
         panels = panel_plan(dense_part, panel_dense_cols, panel_height)
-    ws = workspace
-    K = X.shape[1]
     for cols, lo, vals, local, starts, nonempty in panels:
-        if ws is None:
-            buffer = X[cols]  # "shared memory" stage: one load per dense column
-            products = vals[:, None] * buffer[local]
-            out[lo + nonempty] += np.add.reduceat(products, starts, axis=0)
-            continue
-        buffer = ws.scratch((cols.size, K), dtype=X.dtype)
-        np.take(X, cols, axis=0, out=buffer)
-        gathered = ws.scratch((local.size, K), dtype=X.dtype)
-        np.take(buffer, local, axis=0, out=gathered)
-        products = ws.scratch((local.size, K))
-        np.multiply(vals[:, None], gathered, out=products)
-        sums = ws.scratch((nonempty.size, K))
-        np.add.reduceat(products, starts, axis=0, out=sums)
-        out[lo + nonempty] += sums
+        buffer = X[cols]  # "shared memory" stage: one load per dense column
+        products = vals[:, None] * buffer[local]
+        out[lo + nonempty] += np.add.reduceat(products, starts, axis=0)
 
 
 @checked(invokes("validate_structure", "tiled"))
@@ -107,7 +88,6 @@ def spmm_tiled(
     X: np.ndarray,
     out: np.ndarray | None = None,
     *,
-    workspace=None,
     backend: str | None = None,
 ) -> np.ndarray:
     """Two-phase ASpT SpMM: dense tiles through panel buffers, remainder
@@ -125,9 +105,6 @@ def spmm_tiled(
         (overwritten, not accumulated).  Must be writable in place
         (float64, C-contiguous) — see
         :func:`~repro.util.validation.check_out`.
-    workspace:
-        Optional pool/workspace for the panel buffers, products scratch
-        and the remainder kernel's scratch (bitwise-identical results).
     backend:
         Optional kernel-backend name (:mod:`repro.kernels.backends`),
         forwarded to :func:`~repro.kernels.spmm` for the sparse
@@ -146,22 +123,9 @@ def spmm_tiled(
     else:
         Y = check_out("out", out, rows=tiled.original.n_rows, cols=K)
         Y[:] = 0.0
-    ws, owned = as_workspace(workspace)
-    try:
-        _panel_dense_spmm(
-            tiled.dense_part,
-            X,
-            tiled.panel_dense_cols,
-            tiled.spec.panel_height,
-            Y,
-            workspace=ws,
-        )
-        if tiled.sparse_part.nnz:
-            remainder = None if ws is None else ws.scratch((tiled.original.n_rows, K))
-            Y += spmm(
-                tiled.sparse_part, X, out=remainder, workspace=ws, backend=backend
-            )
-    finally:
-        if owned:
-            ws.release()
+    _panel_dense_spmm(
+        tiled.dense_part, X, tiled.panel_dense_cols, tiled.spec.panel_height, Y
+    )
+    if tiled.sparse_part.nnz:
+        Y += spmm(tiled.sparse_part, X, backend=backend)
     return Y

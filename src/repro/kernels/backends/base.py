@@ -23,22 +23,19 @@ Compiled-fn calling conventions (what ``CompiledKernel.fn`` receives):
 =========  ==================================================================
 kernel      signature and contract
 =========  ==================================================================
-``spmm``    ``fn(state, X, out, ws)`` — *fully overwrites* ``out`` with
+``spmm``    ``fn(state, X, out)`` — *fully overwrites* ``out`` with
             ``state.csr @ X`` (including zeroing empty rows);
             ``state`` is a :class:`repro.kernels.state.CsrState`.
-``spmv``    ``fn(csr, x, ws) -> y`` — returns a fresh ``(n_rows,)`` float64.
-``sddmm``   ``fn(csr, X, Y, ws) -> values`` — returns the new ``(nnz,)``
+``spmv``    ``fn(csr, x) -> y`` — returns a fresh ``(n_rows,)`` float64.
+``sddmm``   ``fn(csr, X, Y) -> values`` — returns the new ``(nnz,)``
             values array (``(Y[i] . X[c]) * csr.value`` per entry).
 =========  ==================================================================
 
-``ws`` is always workspace-shaped (a leased
-:class:`~repro.util.workspace.Workspace` or a
-:class:`~repro.util.workspace.DirectWorkspace`); compiled kernels never
-allocate scratch directly, so pooled and direct invocations stay
-bitwise identical.  :func:`repro.kernels.spmm_tiled` is a *hybrid* on
-every backend: the dense-tile phase is the shared panel-gather
-implementation and only the sparse remainder goes through
-:func:`repro.kernels.spmm` and so through the backend's compiled SpMM.
+Compiled kernels allocate their own scratch.
+:func:`repro.kernels.spmm_tiled` is a *hybrid* on every backend: the
+dense-tile phase is the shared panel-gather implementation and only the
+sparse remainder goes through :func:`repro.kernels.spmm` and so through
+the backend's compiled SpMM.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.sparse.csr import CSRMatrix
 from repro.util.hashing import stable_digest
 from repro.util.validation import check_dense, check_out
-from repro.util.workspace import DirectWorkspace, as_workspace
 
 __all__ = [
     "SpecializationSpec",
@@ -237,8 +233,8 @@ class KernelBackend:
     shared: they validate operands exactly like the reference kernels,
     fetch the matching compiled artifact through the process-global
     cache (:func:`repro.kernels.backends.compiled_artifact`) and invoke
-    it through a workspace, so every backend automatically supports
-    ``workspace=`` pooling and the strict ``out=`` contract.
+    it, so every backend automatically supports the strict ``out=``
+    contract.
     """
 
     #: Registry name; subclasses must override.
@@ -280,8 +276,6 @@ class KernelBackend:
         csr: CSRMatrix,
         X: np.ndarray,
         out: np.ndarray | None = None,
-        *,
-        workspace=None,
     ) -> np.ndarray:
         """``csr @ X`` through this backend's compiled SpMM.
 
@@ -298,16 +292,10 @@ class KernelBackend:
             out = check_out("out", out, rows=csr.n_rows, cols=K)
         state = CsrState(csr)
         spec = specialize(state, kernel="spmm", dtype=_dtype_token(X.dtype))
-        fn = self.artifact(spec).fn
-        ws, owned = as_workspace(workspace)
-        try:
-            fn(state, X, out, ws if ws is not None else DirectWorkspace())
-        finally:
-            if owned:
-                ws.release()
+        self.artifact(spec).fn(state, X, out)
         return out
 
-    def spmv(self, csr: CSRMatrix, x: np.ndarray, *, workspace=None) -> np.ndarray:
+    def spmv(self, csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
         """``csr @ x`` through this backend (matches :func:`repro.kernels.spmv`)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size != csr.n_cols:
@@ -317,17 +305,9 @@ class KernelBackend:
         if csr.nnz == 0:
             return np.zeros(csr.n_rows, dtype=np.float64)
         spec = specialize(csr, kernel="spmv", dtype="float64")
-        fn = self.artifact(spec).fn
-        ws, owned = as_workspace(workspace)
-        try:
-            return fn(csr, x, ws if ws is not None else DirectWorkspace())
-        finally:
-            if owned:
-                ws.release()
+        return self.artifact(spec).fn(csr, x)
 
-    def sddmm(
-        self, csr: CSRMatrix, X: np.ndarray, Y: np.ndarray, *, workspace=None
-    ) -> CSRMatrix:
+    def sddmm(self, csr: CSRMatrix, X: np.ndarray, Y: np.ndarray) -> CSRMatrix:
         """Sampled dense–dense multiply (matches :func:`repro.kernels.sddmm`)."""
         X = check_dense("X", X, rows=csr.n_cols, dtype=None)
         Y = check_dense("Y", Y, rows=csr.n_rows, cols=X.shape[1], dtype=None)
@@ -337,11 +317,4 @@ class KernelBackend:
         # dtype (einsum semantics), so the artifact is dtype-specific.
         common = _dtype_token(np.result_type(X.dtype, Y.dtype))
         spec = specialize(csr, kernel="sddmm", dtype=common)
-        fn = self.artifact(spec).fn
-        ws, owned = as_workspace(workspace)
-        try:
-            values = fn(csr, X, Y, ws if ws is not None else DirectWorkspace())
-        finally:
-            if owned:
-                ws.release()
-        return csr.with_values(values)
+        return csr.with_values(self.artifact(spec).fn(csr, X, Y))

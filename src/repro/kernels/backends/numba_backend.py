@@ -144,21 +144,21 @@ def _wrap(kernel: str, raw):
     """Adapt a raw array-level numba kernel to the compiled-fn convention."""
     if kernel == "spmm":
 
-        def spmm_fn(state, X, out, ws):
+        def spmm_fn(state, X, out):
             raw(state.csr.rowptr, state.colidx, state.values, X, out)
 
         return spmm_fn
     if kernel == "spmv":
 
-        def spmv_fn(csr, x, ws):
+        def spmv_fn(csr, x):
             y = np.empty(csr.n_rows, dtype=np.float64)
             raw(csr.rowptr, csr.colidx, csr.values, x, y)
             return y
 
         return spmv_fn
 
-    def sddmm_fn(csr, X, Y, ws):
-        out = np.empty(csr.nnz, dtype=np.float64)  # reprolint: disable=RD105 -- the values array escapes into the returned matrix; it must be caller-owned, never pooled scratch
+    def sddmm_fn(csr, X, Y):
+        out = np.empty(csr.nnz, dtype=np.float64)
         raw(csr.rowptr, csr.colidx, csr.values, X, Y, out)
         return out
 

@@ -2,7 +2,7 @@
 
 Its "compiled" artifacts are plain closures over the exact operation
 sequences of the reference kernels: the K-chunked
-:meth:`repro.kernels.state.CsrState.multiply` for SpMM, the pooled
+:meth:`repro.kernels.state.CsrState.multiply` for SpMM, the
 gather/multiply/segment-sum for SpMV, the gather + ``einsum`` for SDDMM.
 Every other backend's output is asserted against these artifacts by the
 differential test matrix, and every degradation path (unavailable
@@ -22,29 +22,20 @@ __all__ = ["NumpyBackend"]
 def _spmm_fn(spec: SpecializationSpec):
     chunk_k = spec.chunk_k
 
-    def spmm_kernel(state, X, out, ws):
-        state.multiply(X, out, ws, chunk_k)
+    def spmm_kernel(state, X, out):
+        state.multiply(X, out, chunk_k)
 
     return spmm_kernel
 
 
-def _spmv_kernel(csr, x, ws):
-    products = ws.scratch(csr.nnz)
-    np.take(x, csr.colidx, out=products)
-    np.multiply(csr.values, products, out=products)
-    return segment_sum(products, csr.rowptr)
+def _spmv_kernel(csr, x):
+    return segment_sum(csr.values * x[csr.colidx], csr.rowptr)
 
 
-def _sddmm_kernel(csr, X, Y, ws):
-    K = X.shape[1]
-    rows = csr.row_ids()
-    y_gathered = ws.scratch((csr.nnz, K), dtype=Y.dtype)
-    np.take(Y, rows, axis=0, out=y_gathered)
-    x_gathered = ws.scratch((csr.nnz, K), dtype=X.dtype)
-    np.take(X, csr.colidx, axis=0, out=x_gathered)
+def _sddmm_kernel(csr, X, Y):
     # einsum's accumulation dtype stays the operands' common dtype —
     # the bitwise contract every backend's SDDMM is held to.
-    dots = np.einsum("pk,pk->p", y_gathered, x_gathered)
+    dots = np.einsum("pk,pk->p", Y[csr.row_ids()], X[csr.colidx])
     return dots * csr.values
 
 

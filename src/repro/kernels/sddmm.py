@@ -17,7 +17,6 @@ import numpy as np
 from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
 from repro.util.validation import check_dense
-from repro.util.workspace import as_workspace
 
 __all__ = ["sddmm", "sddmm_rowwise_reference"]
 
@@ -28,7 +27,7 @@ def sddmm_rowwise_reference(csr: CSRMatrix, X: np.ndarray, Y: np.ndarray) -> CSR
     X = check_dense("X", X, rows=csr.n_cols)
     Y = check_dense("Y", Y, rows=csr.n_rows, cols=X.shape[1])
     K = X.shape[1]
-    out = np.zeros(csr.nnz, dtype=np.float64)  # reprolint: disable=RD105 -- reference oracle: mirrors the paper's pseudocode verbatim, allocation behaviour is part of what it checks
+    out = np.zeros(csr.nnz, dtype=np.float64)
     for i in range(csr.n_rows):
         for j in range(csr.rowptr[i], csr.rowptr[i + 1]):
             acc = 0.0
@@ -45,7 +44,6 @@ def sddmm(
     X: np.ndarray,
     Y: np.ndarray,
     *,
-    workspace=None,
     backend: str | None = None,
 ) -> CSRMatrix:
     """Vectorised SDDMM.
@@ -59,12 +57,6 @@ def sddmm(
         Floating dtypes are preserved (no up-cast copy).
     Y:
         Dense operand of shape ``(M, K)`` (indexed by ``S``'s rows).
-    workspace:
-        Optional :class:`~repro.util.workspace.WorkspacePool` or
-        :class:`~repro.util.workspace.Workspace`; the two ``nnz * K``
-        gather buffers are leased from it instead of allocated.  The dot
-        products themselves are computed by the same ``einsum`` in the
-        same dtype, so results are bitwise identical either way.
     backend:
         Optional compiled-backend name (:mod:`repro.kernels.backends`);
         degrades back to this reference path when unavailable.
@@ -80,27 +72,12 @@ def sddmm(
 
         resolved, _ = resolve_backend(backend)
         if resolved.name != "numpy":
-            return resolved.sddmm(csr, X, Y, workspace=workspace)
+            return resolved.sddmm(csr, X, Y)
     X = check_dense("X", X, rows=csr.n_cols, dtype=None)
     Y = check_dense("Y", Y, rows=csr.n_rows, cols=X.shape[1], dtype=None)
     if csr.nnz == 0:
         return csr.copy()
-    rows = csr.row_ids()
-    ws, owned = as_workspace(workspace)
-    try:
-        if ws is None:
-            dots = np.einsum("pk,pk->p", Y[rows], X[csr.colidx])
-        else:
-            K = X.shape[1]
-            y_gathered = ws.scratch((csr.nnz, K), dtype=Y.dtype)
-            np.take(Y, rows, axis=0, out=y_gathered)
-            x_gathered = ws.scratch((csr.nnz, K), dtype=X.dtype)
-            np.take(X, csr.colidx, axis=0, out=x_gathered)
-            # No out= here: einsum's accumulation dtype must stay the
-            # operands' common dtype for bitwise identity, and the (nnz,)
-            # result escapes into the returned matrix anyway.
-            dots = np.einsum("pk,pk->p", y_gathered, x_gathered)
-    finally:
-        if owned:
-            ws.release()
+    # einsum's accumulation dtype stays the operands' common dtype — the
+    # bitwise contract every backend's SDDMM is held to.
+    dots = np.einsum("pk,pk->p", Y[csr.row_ids()], X[csr.colidx])
     return csr.with_values(dots * csr.values)

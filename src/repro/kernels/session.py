@@ -8,8 +8,6 @@ column remaps, scratch buffers, the output array.  A
 
 * per-matrix metadata (non-empty rows, segment starts, per-panel local
   column ids) is computed once at construction;
-* scratch comes from a private :class:`~repro.util.workspace.WorkspacePool`,
-  so after the first call the steady state allocates nothing;
 * the row-wise multiplies run through a **compiled kernel backend**
   (:mod:`repro.kernels.backends`): at construction the session resolves
   the requested backend (its own ``backend=`` argument, or the plan's
@@ -26,7 +24,9 @@ column remaps, scratch buffers, the output array.  A
   the CPU analogue of the GPU kernel's coalesced-access + shared-memory
   staging.  The one-shot :func:`~repro.kernels.spmm` runs the same
   kernel over a transient state; a session saves the per-call state
-  build and the scratch allocation.
+  build.  Scratch is allocated per call, like the one-shot kernels: on
+  the served plan sessions that measured faster than leasing it from a
+  pool (``docs/PERFORMANCE.md`` §1).
 
 Results are **bitwise identical** to the one-shot kernels and to
 :func:`~repro.kernels.spmm_gather_reference` (``numpy`` backend) or
@@ -53,10 +53,10 @@ A session accepts three target types:
   :meth:`~repro.reorder.ExecutionPlan.spmm` (multiplies in original
   coordinates through the reordered execution plan).
 
-Sessions are thread-safe: the pool is locked, per-call scratch is leased
-per call, and the default output buffer is thread-local.  ``run`` returns
-that thread-local buffer (valid until the same thread's next ``run``);
-pass ``out=`` or copy the result to keep it.
+Sessions are thread-safe: scratch is allocated per call and the default
+output buffer is thread-local.  ``run`` returns that thread-local buffer
+(valid until the same thread's next ``run``); pass ``out=`` or copy the
+result to keep it.
 """
 
 from __future__ import annotations
@@ -67,16 +67,14 @@ import warnings
 import numpy as np
 
 from repro.aspt.tiles import TiledMatrix
-from repro.errors import BackendUnavailable, DegradedExecution, WorkspaceExhausted
+from repro.errors import BackendUnavailable, DegradedExecution
 from repro.kernels.aspt_spmm import _panel_dense_spmm, panel_plan
 from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
-from repro.resilience.faults import fault_point
 from repro.sparse.csr import CSRMatrix
 from repro.util.log import get_logger
 from repro.util.validation import check_dense, check_out
-from repro.util.workspace import DirectWorkspace, Workspace, WorkspacePool
 
 __all__ = ["KernelSession"]
 
@@ -95,9 +93,6 @@ class KernelSession:
     chunk_k:
         Width of the K-chunks the multiply streams through (default 64);
         baked into the compiled artifacts' specialization key.
-    pool:
-        Workspace pool to lease scratch from; by default the session owns
-        a private pool sized to its own working set.
     backend:
         Kernel backend name (``"numpy"`` or ``"numba"``).  ``None``
         means "no preference": plan targets use the plan's ``backend``
@@ -123,19 +118,11 @@ class KernelSession:
         target,
         *,
         chunk_k: int = DEFAULT_CHUNK_K,
-        pool: WorkspacePool | None = None,
         backend: str | None = None,
     ) -> None:
         if chunk_k < 1:
             raise ValueError(f"chunk_k must be >= 1, got {chunk_k}")
         self.chunk_k = int(chunk_k)
-        self.pool = pool if pool is not None else WorkspacePool()
-        # Per-session child of the global workspace.fallback instrument
-        # (exposed read-only through the ``fallbacks`` property).
-        self._fallbacks = METRICS.counter(
-            "workspace.fallback", "session runs that bypassed the pool"
-        ).child()
-        self._warned_fallback = False
         self._local = threading.local()
         self._requested_backend = backend
         self._bind(target)
@@ -253,20 +240,6 @@ class KernelSession:
         """Name of the backend actually executing (after any degradation)."""
         return self._backend_obj.name
 
-    @property
-    def fallbacks(self) -> int:
-        """Calls completed through the direct-allocation fallback after
-        workspace exhaustion (per-session view of ``workspace.fallback``)."""
-        return self._fallbacks.value
-
-    def stats(self) -> dict:
-        """Workspace-pool counters (steady state: hits, no misses)."""
-        return self.pool.stats()
-
-    def close(self) -> None:
-        """Drop the pooled scratch blocks (the session stays usable)."""
-        self.pool.clear()
-
     def refresh(self, target) -> "KernelSession":
         """Re-pin the session onto a successor ``target`` in place.
 
@@ -274,10 +247,9 @@ class KernelSession:
         produces a patched plan, ``refresh`` re-derives every
         target-bound attribute (pinned states, panel remaps, compiled
         artifacts — warm compiles hit the process-wide artifact cache)
-        while keeping the session identity, its workspace pool and its
-        degradation counters.  Accepts the same target types as the
-        constructor, plus a :class:`repro.streaming.PlanUpdate` (its
-        ``plan`` is unwrapped).  The per-thread pinned output buffers are
+        while keeping the session identity.  Accepts the same target
+        types as the constructor, plus a
+        :class:`repro.streaming.PlanUpdate` (its ``plan`` is unwrapped).  The per-thread pinned output buffers are
         dropped because the matrix height may have changed.
 
         Not safe to interleave with concurrent :meth:`run` calls on the
@@ -308,27 +280,20 @@ class KernelSession:
             self._local.out = pinned
         return pinned
 
-    def _multiply(self, state: CsrState, X: np.ndarray, out: np.ndarray, ws) -> None:
+    def _multiply(self, state: CsrState, X: np.ndarray, out: np.ndarray) -> None:
         """One pinned-state SpMM through the session's compiled artifact."""
         fn = self._mult.get(id(state))
         if fn is not None:
-            fn(state, X, out, ws)
+            fn(state, X, out)
         else:
-            state.multiply(X, out, ws, self.chunk_k)
+            state.multiply(X, out, self.chunk_k)
 
     def run(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``target @ X`` (for plans: in original coordinates).
 
         Without ``out=`` the result lands in a per-thread pinned buffer
-        that the *next* ``run`` on the same thread overwrites — the
-        steady state allocates nothing.  Pass ``out=`` (or copy) to keep
-        a result across calls.
-
-        When the pool cannot serve a lease
-        (:class:`repro.errors.WorkspaceExhausted`), the multiply reruns
-        with direct allocation — bitwise-identical result, one
-        :class:`repro.errors.DegradedExecution` warning per session, and
-        :attr:`fallbacks` counts the degraded calls.
+        that the *next* ``run`` on the same thread overwrites.  Pass
+        ``out=`` (or copy) to keep a result across calls.
         """
         if self._kind == "plan":
             # ExecutionPlan.spmm validates with the float64-casting form.
@@ -336,48 +301,26 @@ class KernelSession:
         else:
             X = check_dense("X", X, rows=self._n_cols, dtype=None)
         K = X.shape[1]
-        out = self._output(K, out)  # reprolint: disable=RD602 -- only caches the per-thread pinned buffer on self._local; a fired fault strands a reusable buffer, never a partial result
-        try:
-            with span("kernel.run", kind=self._kind, k=K):
-                with self.pool.lease() as ws:
-                    fault_point("session.run")
-                    self._dispatch(X, out, ws)
-        except WorkspaceExhausted as exc:
-            # Safe to rerun from the top: every dispatch path fully
-            # overwrites ``out``, so a partial first attempt leaves no
-            # trace in the final result.
-            self._fallbacks.inc()
-            if not self._warned_fallback:
-                self._warned_fallback = True
-                warnings.warn(
-                    f"workspace pool exhausted ({exc}); session falling "
-                    "back to direct allocation (results unchanged)",
-                    DegradedExecution,
-                    stacklevel=2,
-                )
-            _log.warning("session fallback to direct allocation: %s", exc)
-            with span("kernel.run.fallback", kind=self._kind, k=K):
-                self._dispatch(X, out, DirectWorkspace())
+        out = self._output(K, out)
+        with span("kernel.run", kind=self._kind, k=K):
+            if self._kind == "csr":
+                self._multiply(self._steady, X, out)
+            elif self._kind == "tiled":
+                self._run_tiled(X, out)
+            else:
+                self._run_plan(X, out)
         return out
 
-    def _dispatch(self, X: np.ndarray, out: np.ndarray, ws) -> None:
-        if self._kind == "csr":
-            self._multiply(self._steady, X, out, ws)
-        elif self._kind == "tiled":
-            self._run_tiled(X, out, ws)
-        else:
-            self._run_plan(X, out, ws)
-
     def run_many(self, Xs) -> list[np.ndarray]:
-        """Multiply a batch of operands; results are caller-owned arrays."""
-        results = []
-        for X in Xs:
-            K = np.asarray(X).shape[1]
-            results.append(self.run(X, out=np.empty((self._n_rows, K))))
-        return results
+        """Multiply a batch of operands; results are caller-owned arrays.
+
+        Each operand is validated by :meth:`run` (a 1-D operand raises
+        :class:`~repro.errors.ShapeError`).
+        """
+        return [self.run(X).copy() for X in Xs]
 
     # ------------------------------------------------------------------
-    def _run_tiled(self, X: np.ndarray, out: np.ndarray, ws: Workspace) -> None:
+    def _run_tiled(self, X: np.ndarray, out: np.ndarray) -> None:
         """Bitwise-identical to :func:`repro.kernels.spmm_tiled`."""
         tiled = self._tiled
         out[:] = 0.0
@@ -387,34 +330,31 @@ class KernelSession:
             tiled.panel_dense_cols,
             tiled.spec.panel_height,
             out,
-            workspace=ws,
             panels=self._panels,
         )
         if self._sparse is not None:
-            remainder = ws.scratch((self._n_rows, X.shape[1]))
-            self._multiply(self._sparse, X, remainder, ws)
+            remainder = np.empty((self._n_rows, X.shape[1]), dtype=np.float64)
+            self._multiply(self._sparse, X, remainder)
             np.add(out, remainder, out=out)
 
-    def _run_plan(self, X: np.ndarray, out: np.ndarray, ws: Workspace) -> None:
+    def _run_plan(self, X: np.ndarray, out: np.ndarray) -> None:
         """Bitwise-identical to :meth:`repro.reorder.ExecutionPlan.spmm`."""
         plan = self._plan
         tiled = self._tiled
         K = X.shape[1]
         # Accumulate in round-1 (reordered) row space.
-        y_reordered = ws.scratch((self._n_rows, K))
-        y_reordered[:] = 0.0
+        y_reordered = np.zeros((self._n_rows, K), dtype=np.float64)
         _panel_dense_spmm(
             tiled.dense_part,
             X,
             tiled.panel_dense_cols,
             tiled.spec.panel_height,
             y_reordered,
-            workspace=ws,
             panels=self._panels,
         )
         if self._remainder is not None:
-            y_rem = ws.scratch((self._n_rows, K))
-            self._multiply(self._remainder, X, y_rem, ws)
+            y_rem = np.empty((self._n_rows, K), dtype=np.float64)
+            self._multiply(self._remainder, X, y_rem)
             y_reordered[plan.remainder_order] += y_rem
         # Scatter back: reordered row r is original row row_order[r].
         out[plan.row_order] = y_reordered

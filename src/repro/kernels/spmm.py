@@ -17,11 +17,7 @@ One production kernel and two reference oracles with one contract:
 * :func:`spmm_rowwise_reference` — the paper's Alg. 1 verbatim, Python
   loops; the oracle for everything else (use only on small matrices).
 
-:func:`spmm` accepts ``workspace=`` (a
-:class:`~repro.util.workspace.WorkspacePool` or leased
-:class:`~repro.util.workspace.Workspace`): scratch buffers are then leased
-from the pool instead of allocated per call, with bitwise-identical
-results.  For the repeated-multiply serving case see
+For the repeated-multiply serving case see
 :class:`repro.kernels.KernelSession`, which pins the ``CsrState`` and the
 compiled artifact across calls.
 """
@@ -78,7 +74,6 @@ def spmm(
     X: np.ndarray,
     out: np.ndarray | None = None,
     *,
-    workspace=None,
     backend: str | None = None,
 ) -> np.ndarray:
     """SpMM through a kernel backend's compiled CSR multiply.
@@ -96,11 +91,6 @@ def spmm(
         accumulated).  Must be writable in place: a float64 C-contiguous
         ndarray of exactly that shape
         (:func:`~repro.util.validation.check_out`).
-    workspace:
-        Optional :class:`~repro.util.workspace.WorkspacePool` or
-        :class:`~repro.util.workspace.Workspace`; the staged operand and
-        the ``chunk_k * nnz`` products scratch are leased from it instead
-        of allocated.
     backend:
         Optional kernel-backend name (see :mod:`repro.kernels.backends`).
         ``None``/``"numpy"`` run the numpy reference artifact; other
@@ -116,4 +106,4 @@ def spmm(
     from repro.kernels.backends import resolve_backend
 
     resolved, _ = resolve_backend(backend)
-    return resolved.spmm(csr, X, out, workspace=workspace)
+    return resolved.spmm(csr, X, out)

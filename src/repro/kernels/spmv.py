@@ -17,7 +17,6 @@ import numpy as np
 from repro.contracts import checked, validates
 from repro.sparse.csr import CSRMatrix
 from repro.util.arrayops import segment_sum
-from repro.util.workspace import as_workspace
 
 __all__ = ["spmv", "spmv_rowwise_reference"]
 
@@ -38,17 +37,10 @@ def spmv_rowwise_reference(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
 
 
 @checked(validates("csr"))
-def spmv(
-    csr: CSRMatrix, x: np.ndarray, *, workspace=None, backend: str | None = None
-) -> np.ndarray:
+def spmv(csr: CSRMatrix, x: np.ndarray, *, backend: str | None = None) -> np.ndarray:
     """Vectorised SpMV: gather, multiply, segment-sum.
 
-    ``workspace`` optionally leases the ``nnz``-long products scratch from
-    a :class:`~repro.util.workspace.WorkspacePool` /
-    :class:`~repro.util.workspace.Workspace` instead of allocating it;
-    the gather and multiply then run through ``out=`` forms with the same
-    operand order, so the result is bitwise identical.  ``backend``
-    optionally dispatches to a compiled backend
+    ``backend`` optionally dispatches to a compiled backend
     (:mod:`repro.kernels.backends`), degrading back to this reference
     path when the backend is unavailable.
     """
@@ -57,21 +49,10 @@ def spmv(
 
         resolved, _ = resolve_backend(backend)
         if resolved.name != "numpy":
-            return resolved.spmv(csr, x, workspace=workspace)
+            return resolved.spmv(csr, x)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != csr.n_cols:
         raise ValueError(f"x must be 1-D of length {csr.n_cols}, got shape {x.shape}")
     if csr.nnz == 0:
         return np.zeros(csr.n_rows, dtype=np.float64)
-    ws, owned = as_workspace(workspace)
-    try:
-        if ws is None:
-            products = csr.values * x[csr.colidx]
-        else:
-            products = ws.scratch(csr.nnz)
-            np.take(x, csr.colidx, out=products)
-            np.multiply(csr.values, products, out=products)
-        return segment_sum(products, csr.rowptr)
-    finally:
-        if owned:
-            ws.release()
+    return segment_sum(csr.values * x[csr.colidx], csr.rowptr)

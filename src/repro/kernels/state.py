@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.util.workspace import Workspace
 
 __all__ = ["DEFAULT_CHUNK_K", "CsrState"]
 
@@ -62,7 +61,7 @@ class CsrState:
         self.nonempty = np.flatnonzero(lengths > 0)
         self.starts = np.ascontiguousarray(csr.rowptr[:-1][self.nonempty])
 
-    def multiply(self, X: np.ndarray, out: np.ndarray, ws: Workspace, chunk_k: int) -> None:
+    def multiply(self, X: np.ndarray, out: np.ndarray, chunk_k: int) -> None:
         """``out = csr @ X``, bitwise identical to
         :func:`repro.kernels.spmm_gather_reference`."""
         csr = self.csr
@@ -72,11 +71,11 @@ class CsrState:
             return
         # Stage the operand transposed: one exact-cast copy, after which
         # every access pattern below streams along contiguous memory.
-        XT = ws.scratch((K, csr.n_cols))
+        XT = np.empty((K, csr.n_cols), dtype=np.float64)
         np.copyto(XT, X.T)
         chunk = max(1, min(chunk_k, K))
-        gathered = ws.scratch((chunk, csr.nnz))
-        sums = ws.scratch((chunk, self.nonempty.size))
+        gathered = np.empty((chunk, csr.nnz), dtype=np.float64)
+        sums = np.empty((chunk, self.nonempty.size), dtype=np.float64)
         for k0 in range(0, K, chunk):
             k1 = min(k0 + chunk, K)
             g = gathered[: k1 - k0]

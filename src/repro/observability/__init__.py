@@ -10,9 +10,9 @@ Two complementary views of what the library is doing:
   is one global check (bench-gated at ≤2% kernel overhead).
 * **Metrics** (:mod:`repro.observability.metrics`) — *what happened, how
   often*.  A process-global :class:`MetricsRegistry` of named counters,
-  gauges and histograms that the plan store, workspace pool, resilience
-  layer, GPU cost model and clustering all report into, while keeping
-  their historical per-object counters as compatibility views.
+  gauges and histograms that the plan store, resilience layer, GPU cost
+  model and clustering all report into, while keeping their historical
+  per-object counters as compatibility views.
 
 Entry points: ``repro trace <matrix>`` on the command line,
 ``run_experiment(trace=...)`` for sweeps, ``with tracing() as t:`` for

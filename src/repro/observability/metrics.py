@@ -1,11 +1,11 @@
 """Process-global metrics registry: counters, gauges, histograms.
 
 The paper's argument is a data-movement accounting story, so the repo's
-moving parts (plan cache, workspace pool, resilience ladder, GPU cost
+moving parts (plan cache, resilience ladder, GPU cost
 model, clustering) each grew ad-hoc counters.  This module replaces them
 with one :class:`MetricsRegistry` of *named instruments* so a single
 snapshot answers "what did this process do" — while per-object counters
-(a pool's own hit count, one store's miss count) survive as *children*
+(one cache's hit count, one store's miss count) survive as *children*
 that feed the global aggregate.
 
 Design notes
@@ -13,8 +13,8 @@ Design notes
 * Zero dependencies; plain ``threading.Lock`` per instrument.
 * :class:`Counter` is monotonic — negative increments raise.  A counter
   created via :meth:`Counter.child` increments itself *and* its parent,
-  which is how :class:`~repro.util.workspace.WorkspacePool` keeps its
-  per-pool ``stats()`` while ``workspace.hit``/``workspace.miss`` roll up
+  which is how :class:`~repro.planstore.memory.CacheStats` keeps one
+  cache's counts while ``planstore.hit``/``planstore.miss`` roll up
   globally.
 * :class:`Histogram` records count / sum / min / max plus bucketed counts
   against fixed upper bounds, so ``sum``/``count`` consistency is a
@@ -28,8 +28,6 @@ Instrument catalogue (see ``docs/OBSERVABILITY.md``):
 =============================== ==========================================
 ``planstore.hit/miss/put/evict`` cache-tier traffic (memory + disk tiers)
 ``planstore.quarantine``         corrupt plan files moved aside
-``workspace.hit/miss/evict``     scratch-pool reuse
-``workspace.fallback``           session runs that bypassed the pool
 ``resilience.fault_fired``       injected faults that actually fired
 ``resilience.retry``             transient-IO retry attempts
 ``resilience.degradation_rung``  plan builds settled below the full rung

@@ -377,8 +377,8 @@ class ExecutionPlan:
 
         The session multiplies in original coordinates exactly like
         :meth:`spmm` (bitwise — asserted by :meth:`validate`) but hoists
-        the per-call panel remaps and scratch allocation, so it is the
-        preferred interface for repeated multiplies against one plan.
+        the per-call panel remaps, so it is the preferred interface for
+        repeated multiplies against one plan.
         Keyword arguments are forwarded to the session constructor.
         """
         from repro.kernels import KernelSession

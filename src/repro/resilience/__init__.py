@@ -8,8 +8,9 @@ degraded-but-correct execution a first-class citizen of the pipeline:
 * :class:`FaultInjector` / :func:`fault_point` — deterministic, seedable
   chaos injection at named sites (``io.read``, ``planstore.read``,
   ``planstore.write``, ``clustering.minhash``, ``clustering.cluster``,
-  ``workspace.take``, ``session.run``), driving the chaos test suite and
-  the CI ``chaos`` job.
+  ``backend.compile``, ``streaming.update``, ``serve.pool_evict``,
+  ``serve.accept``), driving the chaos test suite and the CI ``chaos``
+  job.
 * :class:`Deadline` — a cooperative stage budget threaded through
   MinHash, LSH and clustering; polling points raise
   :class:`repro.errors.TimeoutExceeded` when the budget expires.

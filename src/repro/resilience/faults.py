@@ -2,9 +2,9 @@
 
 Production code calls :func:`fault_point` at the places where the real
 world can hurt it — file reads, plan-store (de)serialisation, long
-clustering loops, workspace leases.  When no injector is installed the
-call is one module-global ``None`` check (measured well under the bench
-gate's noise floor); when a :class:`FaultInjector` is active, each site
+clustering loops, backend compiles, streaming updates, serve eviction
+and accept.  When no injector is installed the call is one module-global
+``None`` check (measured well under the bench gate's noise floor); when a :class:`FaultInjector` is active, each site
 consults a deterministic per-site Bernoulli stream and raises the site's
 characteristic exception at the configured rate.
 
@@ -27,7 +27,6 @@ from repro.errors import (
     CorruptStoreError,
     ReproIOError,
     TimeoutExceeded,
-    WorkspaceExhausted,
 )
 from repro.observability.metrics import METRICS
 
@@ -58,10 +57,6 @@ def _cluster_timeout() -> Exception:
     )
 
 
-def _pool_fault() -> Exception:
-    return WorkspaceExhausted("injected fault: workspace pool exhausted")
-
-
 def _backend_compile_fault() -> Exception:
     return BackendUnavailable("injected fault: backend kernel compile failure")
 
@@ -89,8 +84,6 @@ FAULT_SITES: dict = {
     "planstore.write": _write_fault,
     "clustering.minhash": _minhash_timeout,
     "clustering.cluster": _cluster_timeout,
-    "workspace.take": _pool_fault,
-    "session.run": _pool_fault,
     "backend.compile": _backend_compile_fault,
     "streaming.update": _streaming_update_fault,
     "serve.pool_evict": _pool_evict_fault,

@@ -7,7 +7,7 @@ already).  So when several requests for the *same* session key arrive
 concurrently, the server can stack their operands side by side, run one
 multiply, and slice each requester's columns back out — bitwise-identical
 to serving them one at a time, but paying the per-call overhead (session
-pin, workspace lease, fault bookkeeping) once.
+pin, span, fault bookkeeping) once.
 
 The :class:`Coalescer` implements single-flight batching per key: the
 first arrival for a key becomes the *leader* and executes the batch; any

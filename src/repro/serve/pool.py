@@ -2,7 +2,7 @@
 
 The serving economics of the paper live here: a plan build costs orders
 of magnitude more than a multiply, so the server keeps sessions (pinned
-plan + compiled artifact + scratch) warm across requests, keyed by the
+plan + compiled artifact + output buffers) warm across requests, keyed by the
 matrix fingerprint *and* the degradation-ladder rung the plan was built
 at (a shed request must never be served a weaker plan later without its
 provenance saying so, nor a degraded session outlive the pressure that
@@ -154,7 +154,6 @@ class SessionPool:
         self._evicts.inc()
         try:
             fault_point("serve.pool_evict")
-            victim.session.close()
         except ReproError:
             # Eviction is best-effort cleanup: the entry is already out
             # of the table, a failure must never surface into a request.
@@ -166,7 +165,7 @@ class SessionPool:
         The streaming path: a ``delta`` request replaces a registered
         matrix, so sessions pinned to its old fingerprint must never
         serve another multiply.  Entries are removed from the table
-        immediately; unpinned ones are closed through the normal evict
+        immediately; unpinned ones are dropped through the normal evict
         path, in-flight ones finish their current multiply on the
         detached object and are garbage-collected on unpin.  Returns the
         number of entries invalidated.

@@ -12,7 +12,7 @@ request travels::
 Every failure mode has an explicit, typed outcome (see
 :mod:`repro.serve.protocol`); the chaos suite asserts the server never
 crashes and never returns a wrong answer under injected faults at the
-accept, eviction, IO, clustering, workspace, kernel and compile sites.
+accept, eviction, IO, clustering, streaming and compile sites.
 """
 
 from __future__ import annotations

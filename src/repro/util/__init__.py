@@ -3,9 +3,8 @@
 The utilities here are deliberately tiny and dependency-free (NumPy only):
 argument validation (:mod:`repro.util.validation`), deterministic RNG
 handling (:mod:`repro.util.rng`), lightweight logging
-(:mod:`repro.util.log`), vectorised array primitives
-(:mod:`repro.util.arrayops`) and the reusable scratch-buffer pool backing
-the zero-allocation kernel paths (:mod:`repro.util.workspace`).
+(:mod:`repro.util.log`) and vectorised array primitives
+(:mod:`repro.util.arrayops`).
 """
 
 from repro.util.arrayops import (
@@ -19,7 +18,6 @@ from repro.util.arrayops import (
 )
 from repro.util.hashing import digest_arrays, stable_digest
 from repro.util.rng import as_generator, spawn_generators
-from repro.util.workspace import Workspace, WorkspacePool
 from repro.util.validation import (
     check_dense,
     check_in_range,
@@ -41,8 +39,6 @@ __all__ = [
     "stable_digest",
     "as_generator",
     "spawn_generators",
-    "Workspace",
-    "WorkspacePool",
     "check_dense",
     "check_in_range",
     "check_integer_array",

@@ -4,8 +4,7 @@ The differential matrix (tests/unit/test_backend_differential.py) pins
 hand-picked corners; these properties sweep random CSR structures and
 operand dtypes and assert the same tolerance contract: ``numpy`` (and
 the test-only ``fake`` backend) bitwise-equal to the references,
-``numba`` (when importable) within 1 ULP, and within each backend the workspace-pooled path is
-bitwise-identical to the direct path.
+``numba`` (when importable) within 1 ULP.
 """
 
 import numpy as np
@@ -13,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import KernelSession, spmm, spmm_gather_reference, spmv
+from repro.kernels import spmm, spmm_gather_reference, spmv
 from repro.kernels.backends import available_backends
-from repro.util.workspace import WorkspacePool
 
 from test_sparse_properties import csr_matrices
 
@@ -51,20 +49,3 @@ class TestBackendSpmmProperties:
         x = np.random.default_rng(seed).normal(size=csr.n_cols)
         reference = spmv(csr, x)
         _assert_matches(backend_name, spmv(csr, x, backend=backend_name), reference)
-
-
-class TestPooledVsDirectProperties:
-    @pytest.mark.parametrize("backend_name", AVAILABLE)
-    @given(csr=csr_matrices(), k=st.integers(1, 9), seed=st.integers(0, 2**31))
-    @settings(max_examples=25, deadline=None)
-    def test_pooled_session_bitwise_identical_to_direct(
-        self, backend_name, csr, k, seed
-    ):
-        X = np.random.default_rng(seed).normal(size=(csr.n_cols, k))
-        pooled = KernelSession(csr, backend=backend_name, pool=WorkspacePool())
-        direct = KernelSession(csr, backend=backend_name, pool=None)
-        try:
-            np.testing.assert_array_equal(pooled.run(X), direct.run(X))
-        finally:
-            pooled.close()
-            direct.close()

@@ -284,8 +284,4 @@ class TestPerBackend:
         x = rng.normal(size=(csr.n_cols, 5))
         patched_s = KernelSession(update.plan, backend=backend_name)
         fresh_s = KernelSession(fresh, backend=backend_name)
-        try:
-            np.testing.assert_array_equal(patched_s.run(x), fresh_s.run(x))
-        finally:
-            patched_s.close()
-            fresh_s.close()
+        np.testing.assert_array_equal(patched_s.run(x), fresh_s.run(x))

@@ -347,7 +347,5 @@ class TestCsrState:
         X = rng.normal(size=(matrix.n_cols, 16))
         state = CsrState(matrix)
         out = np.empty((matrix.n_rows, 16), dtype=np.float64)
-        from repro.util.workspace import DirectWorkspace
-
-        state.multiply(X, out, DirectWorkspace(), 8)
+        state.multiply(X, out, 8)
         np.testing.assert_array_equal(out, spmm_gather_reference(matrix, X))

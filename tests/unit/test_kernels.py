@@ -78,6 +78,47 @@ class TestSpmm:
         assert_spmm_correct(paper_matrix, x, spmm(paper_matrix, x))
 
 
+class TestOutBuffers:
+    """``out=`` is written in place, whatever it held before."""
+
+    @pytest.fixture
+    def csr(self, rng):
+        return random_csr(rng, 32, 24, density=0.15)
+
+    @pytest.fixture
+    def X(self, rng, csr):
+        return rng.normal(size=(csr.n_cols, 7))
+
+    def test_spmm_out_is_returned(self, csr, X):
+        out = np.empty((csr.n_rows, X.shape[1]))
+        got = spmm(csr, X, out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, spmm_gather_reference(csr, X))
+
+    def test_spmm_out_reused_across_calls(self, csr, X):
+        out = np.full((csr.n_rows, X.shape[1]), np.nan)  # stale garbage
+        spmm(csr, X, out=out)
+        spmm(csr, X * -1.0, out=out)
+        np.testing.assert_array_equal(out, spmm_gather_reference(csr, X * -1.0))
+
+    def test_spmm_out_view_of_larger_buffer(self, csr, X):
+        backing = np.full((csr.n_rows + 4, X.shape[1]), np.nan)
+        out = backing[2 : 2 + csr.n_rows]  # aliases the middle of backing
+        spmm(csr, X, out=out)
+        np.testing.assert_array_equal(out, spmm_gather_reference(csr, X))
+        assert np.isnan(backing[:2]).all() and np.isnan(backing[-2:]).all()
+
+
+class TestFloat32Preservation:
+    def test_spmm_float32(self, rng):
+        csr = random_csr(rng, 32, 24, density=0.15)
+        X32 = rng.normal(size=(csr.n_cols, 5)).astype(np.float32)
+        got = spmm(csr, X32)
+        want = spmm_gather_reference(csr, X32)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 class TestGatherReference:
     def test_spmm_is_bitwise_the_gather_reference(self, rng):
         # Different algorithms (transposed K-chunks vs one nnz x K gather),

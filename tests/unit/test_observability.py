@@ -4,16 +4,14 @@ Covers the tracer (span trees, Chrome export, golden schema snapshot),
 the ``Stages`` recorder (stage seconds taken from the stage spans),
 the gating contract (module-level ``span`` is a shared no-op until a
 tracer is installed), the metrics registry, the counter-migration
-compatibility surfaces (WorkspacePool, CacheStats, KernelSession,
-DiskPlanStore), the text reporters, and the end-to-end wiring
-(``repro trace``, ``run_experiment(trace=)``, per-record
-``stage_seconds``).
+compatibility surfaces (CacheStats, DiskPlanStore), the text reporters,
+and the end-to-end wiring (``repro trace``, ``run_experiment(trace=)``,
+per-record ``stage_seconds``).
 """
 
 import json
 import threading
 
-import numpy as np
 import pytest
 
 from conftest import FakeClock
@@ -396,49 +394,6 @@ class TestMetricsRegistry:
         assert c.value == 0
 
 
-class TestWorkspacePoolCompat:
-    """Satellite (d): the migrated counters keep their old surface."""
-
-    def test_hits_misses_evictions_attributes_still_read(self):
-        from repro.util.workspace import WorkspacePool
-
-        pool = WorkspacePool()
-        with pool.lease() as ws:
-            ws.scratch((4, 8))
-        with pool.lease() as ws:
-            ws.scratch((4, 8))
-        assert pool.misses == 1
-        assert pool.hits == 1
-        assert pool.evictions == 0
-        stats = pool.stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-
-    def test_eviction_counts_when_over_budget(self):
-        from repro.util.workspace import WorkspacePool
-
-        pool = WorkspacePool(max_bytes=0)
-        block = pool.take((8,))
-        pool.give(block)
-        assert pool.evictions == 1
-
-    def test_pool_counters_roll_up_to_global_instruments(self):
-        from repro.util.workspace import WorkspacePool
-
-        before = METRICS.counter("workspace.miss").value
-        pool = WorkspacePool()
-        with pool.lease() as ws:
-            ws.scratch((2, 2))
-        assert METRICS.counter("workspace.miss").value == before + 1
-
-    def test_two_pools_count_independently(self):
-        from repro.util.workspace import WorkspacePool
-
-        a, b = WorkspacePool(), WorkspacePool()
-        with a.lease() as ws:
-            ws.scratch((2, 2))
-        assert (a.misses, b.misses) == (1, 0)
-
-
 class TestCacheStatsCompat:
     def test_augmented_assignment_still_works(self):
         from repro.planstore.memory import CacheStats
@@ -466,25 +421,6 @@ class TestCacheStatsCompat:
         cache = LRUPlanCache(max_entries=4)
         assert cache.get("missing") is None
         assert cache.stats.misses == 1
-
-
-class TestSessionFallbackCompat:
-    def test_fallbacks_attribute_counts_degraded_runs(self):
-        from repro.kernels import KernelSession
-        from repro.util.workspace import WorkspacePool
-
-        matrix = hidden_clusters(10, 4, 64, 6, seed=0)
-        session = KernelSession(
-            matrix, pool=WorkspacePool(max_lease_bytes=0)
-        )
-        X = np.random.default_rng(0).normal(size=(matrix.n_cols, 8))
-        assert session.fallbacks == 0
-        with pytest.warns(Warning):
-            out = session.run(X)
-        assert session.fallbacks == 1
-        from repro.kernels import spmm
-
-        np.testing.assert_array_equal(out, spmm(matrix, X))
 
 
 class TestQuarantineCounter:

@@ -113,26 +113,6 @@ class TestInjectableClockRule:
         assert all("clock" in f.message for f in findings)
 
 
-class TestPerformanceRules:
-    def test_flagged_fixture_fires_rd105(self):
-        findings = lint_fixture(
-            "flagged_performance.py", module_path="repro/kernels/fixture.py"
-        )
-        assert codes_of(findings) == ["RD105", "RD105", "RD105", "RD105"]
-
-    def test_clean_fixture_is_silent(self):
-        assert (
-            lint_fixture(
-                "clean_performance.py", module_path="repro/kernels/fixture.py"
-            )
-            == []
-        )
-
-    def test_rd105_inactive_outside_kernel_scopes(self):
-        findings = lint_fixture("flagged_performance.py")  # repro/aspt path
-        assert "RD105" not in codes_of(findings)
-
-
 class TestAsyncBlockingRule:
     def test_flagged_fixture_fires_rd108(self):
         findings = lint_fixture(

@@ -19,7 +19,6 @@ from repro.errors import (
     DegradedExecution,
     ReproIOError,
     TimeoutExceeded,
-    WorkspaceExhausted,
     exit_code_for,
 )
 from repro.reorder import ReorderConfig
@@ -152,8 +151,6 @@ class TestFaultInjector:
             "planstore.write": ReproIOError,
             "clustering.minhash": TimeoutExceeded,
             "clustering.cluster": TimeoutExceeded,
-            "workspace.take": WorkspaceExhausted,
-            "session.run": WorkspaceExhausted,
             "backend.compile": BackendUnavailable,
             "streaming.update": TimeoutExceeded,
             "serve.pool_evict": ReproIOError,
@@ -337,11 +334,6 @@ class TestErrorTaxonomy:
         assert exit_code_for(KeyboardInterrupt()) == EXIT_INTERRUPTED
         assert exit_code_for(ReproIOError("io")) == EXIT_IO
         assert exit_code_for(CorruptStoreError("c")) == EXIT_DATA
-
-    def test_workspace_exhausted_is_memory_error(self):
-        # The kernel-session fallback catches it; callers that only know
-        # MemoryError still handle it correctly.
-        assert issubclass(WorkspaceExhausted, MemoryError)
 
     def test_repro_io_error_is_os_error(self):
         assert issubclass(ReproIOError, OSError)

@@ -260,11 +260,7 @@ class TestCircuitBreaker:
 # Session pool
 # ----------------------------------------------------------------------
 class FakeSession:
-    def __init__(self):
-        self.closed = False
-
-    def close(self):
-        self.closed = True
+    """Stand-in session: the pool never calls into it."""
 
 
 def _put(pool, key, **kw):
@@ -273,6 +269,11 @@ def _put(pool, key, **kw):
     kw.setdefault("backend", "numpy")
     kw.setdefault("degraded", False)
     return pool.put(key, FakeSession(), **kw)
+
+
+def _evicted():
+    """Sessions dropped through the pool's evict path, process-wide."""
+    return METRICS.counter("serve.pool_evict").value
 
 
 class TestSessionPool:
@@ -285,22 +286,24 @@ class TestSessionPool:
         assert again is entry
         pool.unpin(again)
 
-    def test_lru_eviction_closes_the_victim(self):
+    def test_lru_eviction_drops_the_victim(self):
         pool = SessionPool(capacity=2)
         a = _put(pool, "a"); pool.unpin(a)
         b = _put(pool, "b"); pool.unpin(b)
         pool.pin("a")  # refresh a; b is now LRU
         pool.unpin(a)
+        before = _evicted()
         c = _put(pool, "c"); pool.unpin(c)
-        assert b.session.closed
+        assert _evicted() == before + 1
         assert pool.pin("b") is None
         assert pool.pin("a") is not None
 
     def test_pinned_entries_survive_eviction_pressure(self):
         pool = SessionPool(capacity=1)
         pinned = _put(pool, "hot")  # stays pinned
+        before = _evicted()
         other = _put(pool, "cold")
-        assert not pinned.session.closed
+        assert _evicted() == before
         assert len(pool) == 2  # transient overflow instead of a yank
         pool.unpin(pinned)
         pool.unpin(other)
@@ -319,8 +322,9 @@ class TestSessionPool:
         full = _put(pool, "fp1:full"); pool.unpin(full)
         ident = _put(pool, "fp1:identity"); pool.unpin(ident)
         other = _put(pool, "fp2:full"); pool.unpin(other)
+        before = _evicted()
         assert pool.invalidate_prefix("fp1") == 2
-        assert full.session.closed and ident.session.closed
+        assert _evicted() == before + 2
         assert pool.pin("fp1:full") is None
         assert pool.pin("fp2:full") is other  # untouched
         pool.unpin(other)
@@ -328,8 +332,9 @@ class TestSessionPool:
     def test_invalidate_prefix_leaves_pinned_entries_running(self):
         pool = SessionPool(capacity=8)
         busy = _put(pool, "fp1:full")  # still pinned: a request is running
+        before = _evicted()
         assert pool.invalidate_prefix("fp1") == 1
-        assert not busy.session.closed  # finishes on the detached session
+        assert _evicted() == before  # finishes on the detached session
         assert pool.pin("fp1:full") is None  # but no new pins find it
         pool.unpin(busy)
 
@@ -353,19 +358,23 @@ class TestSessionPool:
     def test_eviction_fault_is_absorbed(self):
         pool = SessionPool(capacity=1)
         a = _put(pool, "a"); pool.unpin(a)
+        faults = METRICS.counter("serve.pool_evict_fault")
+        before = faults.value
         with FaultInjector(rate=1.0, seed=7, sites=["serve.pool_evict"]):
             b = _put(pool, "b")  # evicts a; injected fault must not escape
             pool.unpin(b)
         assert pool.pin("a") is None  # eviction still happened
-        assert not a.session.closed  # fault fired before close()
+        assert faults.value == before + 1  # the fault fired and was absorbed
 
     def test_clear_leaves_pinned_entries(self):
         pool = SessionPool(capacity=4)
         held = _put(pool, "held")
         loose = _put(pool, "loose"); pool.unpin(loose)
+        before = _evicted()
         pool.clear()
-        assert len(pool) == 1 and not held.session.closed
-        assert loose.session.closed
+        assert len(pool) == 1 and pool.pin("held") is held
+        assert _evicted() == before + 1  # only the unpinned entry
+        pool.unpin(held)
         pool.unpin(held)
 
     def test_capacity_holds_any_keys_without_eviction(self):
@@ -384,15 +393,12 @@ class TestSessionPool:
         for keys in (colliding, candidates[:4]):
             pool = SessionPool(capacity=8)
             before = evicts.value
-            entries = []
             for _ in range(3):  # repeated rounds: every key stays a hit
                 for key in keys:
                     entry = pool.pin(key) or _put(pool, key)
-                    entries.append(entry)
                     pool.unpin(entry)
             assert evicts.value == before
             assert len(pool) == 4
-            assert not any(e.session.closed for e in entries)
 
 
 # ----------------------------------------------------------------------

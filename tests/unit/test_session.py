@@ -1,5 +1,6 @@
 """Unit tests for repro.kernels.KernelSession (steady-state SpMM)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from repro.aspt import tile_matrix
 from repro.datasets import hidden_clusters
+from repro.errors import ShapeError
 from repro.kernels import KernelSession, spmm_gather_reference, spmm_tiled
 from repro.reorder import ReorderConfig, build_plan
-from repro.util.workspace import WorkspacePool
 
 from conftest import random_csr
 
@@ -68,16 +69,6 @@ class TestCsrSession:
         second = session.run(X)
         assert first is second  # pinned thread-local buffer
 
-    def test_steady_state_stops_allocating(self, matrix, X):
-        session = KernelSession(matrix)
-        session.run(X)
-        misses_after_warmup = session.stats()["misses"]
-        for _ in range(4):
-            session.run(X)
-        stats = session.stats()
-        assert stats["misses"] == misses_after_warmup
-        assert stats["hits"] > 0
-
     def test_run_many_returns_owned_arrays(self, matrix, X):
         session = KernelSession(matrix)
         results = session.run_many([X, X * 2.0])
@@ -87,44 +78,13 @@ class TestCsrSession:
             results[1], spmm_gather_reference(matrix, X * 2.0)
         )
 
-    def test_shared_pool(self, matrix, X):
-        pool = WorkspacePool()
-        session = KernelSession(matrix, pool=pool)
-        session.run(X)
-        assert pool.stats()["misses"] > 0
-
-    def test_close_clears_pool(self, matrix, X):
+    def test_run_many_rejects_1d_operand_like_run(self, matrix):
         session = KernelSession(matrix)
-        session.run(X)
-        session.close()
-        assert session.pool.held_bytes == 0
-        np.testing.assert_array_equal(session.run(X), spmm_gather_reference(matrix, X))
-
-    def test_concurrent_runs_are_bitwise_correct(self, matrix):
-        session = KernelSession(matrix)
-        rng = np.random.default_rng(17)
-        operands = [rng.normal(size=(matrix.n_cols, 16)) for _ in range(6)]
-        expected = [spmm_gather_reference(matrix, X) for X in operands]
-        results = [None] * len(operands)
-        errors = []
-
-        def worker(idx):
-            try:
-                for _ in range(5):
-                    results[idx] = session.run(operands[idx]).copy()
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(len(operands))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        for got, want in zip(results, expected):
-            np.testing.assert_array_equal(got, want)
+        x = np.ones(matrix.n_cols)
+        with pytest.raises(ShapeError, match="2-D"):
+            session.run(x)
+        with pytest.raises(ShapeError, match="2-D"):
+            session.run_many([x])
 
     def test_dimensions(self, matrix):
         session = KernelSession(matrix)
@@ -164,6 +124,55 @@ class TestPlanSession:
         session = plan.session()
         assert isinstance(session, KernelSession)
         np.testing.assert_array_equal(session.run(X), plan.spmm(X))
+
+
+def _concurrency_target(kind, matrix):
+    """A session target plus the one-shot oracle it must match bitwise."""
+    if kind == "csr":
+        return matrix, lambda X: spmm_gather_reference(matrix, X)
+    if kind == "tiled":
+        tiled = tile_matrix(matrix, 8, 2)
+        return tiled, lambda X: spmm_tiled(tiled, X)
+    plan = build_plan(matrix, ReorderConfig())
+    return plan, plan.spmm
+
+
+class TestConcurrency:
+    # The serve layer runs each pooled session from several executor
+    # threads; the thread-local output buffer is the only state they share.
+    @pytest.mark.parametrize("kind", ["csr", "tiled", "plan"])
+    def test_concurrent_runs_are_bitwise_correct(self, matrix, kind):
+        target, oracle = _concurrency_target(kind, matrix)
+        session = KernelSession(target)
+        rng = np.random.default_rng(17)
+        operands = [rng.normal(size=(matrix.n_cols, 16)) for _ in range(6)]
+        expected = [oracle(X) for X in operands]
+        results = [None] * len(operands)
+        errors = []
+
+        def worker(idx):
+            try:
+                for _ in range(5):
+                    results[idx] = session.run(operands[idx]).copy()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(len(operands))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleaving inside run()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestValidation:

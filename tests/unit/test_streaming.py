@@ -224,7 +224,6 @@ class TestSessionRefresh:
         session.refresh(update)  # accepts the PlanUpdate directly
         fresh = build_plan(delta.apply_to(m), CFG)
         np.testing.assert_array_equal(session.run(x), fresh.spmm(x))
-        session.close()
 
     def test_refresh_handles_row_growth(self):
         m = small_matrix()
@@ -240,7 +239,6 @@ class TestSessionRefresh:
         out = session.run(x)
         assert out.shape == (5, 2)
         np.testing.assert_array_equal(out[4], [1.0, 1.0])
-        session.close()
 
 
 class TestSessionMemoStaleness:
