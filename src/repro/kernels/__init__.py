@@ -47,7 +47,6 @@ from repro.kernels.backends import (
     backend_names,
     get_backend,
     resolve_backend,
-    specialize,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "SpecializationSpec",
     "CompiledKernel",
     "KernelBackend",
-    "specialize",
     "backend_names",
     "available_backends",
     "get_backend",

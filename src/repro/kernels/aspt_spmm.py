@@ -4,14 +4,15 @@ The dense tiles are computed the way the GPU kernel computes them: per
 panel, the dense columns' rows of ``X`` are first gathered into a compact
 *panel buffer* (the functional analogue of staging into shared memory) and
 the panel's tile non-zeros index that buffer through remapped local column
-ids.  The sparse remainder goes through :func:`repro.kernels.spmm`.  Because the
-tiler partitions the non-zeros exactly, the sum of the two phases equals
-plain SpMM on the original matrix — asserted in the test suite against the
-Alg. 1 oracle.
+ids.  The sparse remainder goes through the backend's compiled CSR SpMM.
+Because the tiler partitions the non-zeros exactly, the sum of the two
+phases equals plain SpMM on the original matrix — asserted in the test
+suite against the Alg. 1 oracle.
 
-The panel *metadata* (local column ids, segment starts) can be
-precomputed once via :func:`panel_plan` — that is what
-:class:`repro.kernels.KernelSession` pins for the repeated-multiply case.
+:class:`repro.kernels.KernelSession` is the executor: it precomputes the
+panel *metadata* (local column ids, segment starts) once via
+:func:`panel_plan` and runs both phases.  :func:`spmm_tiled` is a
+one-shot run of a transient session.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from repro.aspt.tiles import TiledMatrix
 from repro.contracts import checked, invokes
-from repro.kernels.spmm import spmm
 from repro.sparse.csr import CSRMatrix
-from repro.util.validation import check_dense, check_out
+from repro.util.validation import check_dense
 
 __all__ = ["spmm_tiled", "panel_plan"]
 
@@ -59,23 +59,12 @@ def panel_plan(
     return plan
 
 
-def _panel_dense_spmm(
-    dense_part: CSRMatrix,
-    X: np.ndarray,
-    panel_dense_cols: list[np.ndarray],
-    panel_height: int,
-    out: np.ndarray,
-    *,
-    panels: list[tuple] | None = None,
-) -> None:
+def _panel_dense_spmm(panels: list[tuple], X: np.ndarray, out: np.ndarray) -> None:
     """Accumulate the dense-tile contribution into ``out``.
 
-    Mirrors the shared-memory kernel: gather, remap, multiply per panel.
-    With ``panels`` (from :func:`panel_plan`) the per-panel metadata is
-    not recomputed.
+    Mirrors the shared-memory kernel: gather, remap, multiply per panel,
+    over the metadata :func:`panel_plan` precomputed.
     """
-    if panels is None:
-        panels = panel_plan(dense_part, panel_dense_cols, panel_height)
     for cols, lo, vals, local, starts, nonempty in panels:
         buffer = X[cols]  # "shared memory" stage: one load per dense column
         products = vals[:, None] * buffer[local]
@@ -93,6 +82,10 @@ def spmm_tiled(
     """Two-phase ASpT SpMM: dense tiles through panel buffers, remainder
     row-wise.
 
+    A one-shot run of a transient :class:`~repro.kernels.KernelSession`
+    pinned on ``tiled``; pin a session yourself to amortise the panel
+    metadata across calls.
+
     Parameters
     ----------
     tiled:
@@ -106,26 +99,19 @@ def spmm_tiled(
         (float64, C-contiguous) — see
         :func:`~repro.util.validation.check_out`.
     backend:
-        Optional kernel-backend name (:mod:`repro.kernels.backends`),
-        forwarded to :func:`~repro.kernels.spmm` for the sparse
-        remainder; the dense phase is the shared panel-gather path on
-        every backend.
+        Optional kernel-backend name (:mod:`repro.kernels.backends`) for
+        the sparse remainder; the dense phase is the shared panel-gather
+        path on every backend.
 
     Returns
     -------
     numpy.ndarray
         ``Y = tiled.original @ X`` of shape ``(n_rows, K)``.
     """
+    # Imported here: the session module imports this one's panel helpers.
+    from repro.kernels.session import KernelSession
+
     X = check_dense("X", X, rows=tiled.original.n_cols, dtype=None)
-    K = X.shape[1]
     if out is None:
-        Y = np.zeros((tiled.original.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
-    else:
-        Y = check_out("out", out, rows=tiled.original.n_rows, cols=K)
-        Y[:] = 0.0
-    _panel_dense_spmm(
-        tiled.dense_part, X, tiled.panel_dense_cols, tiled.spec.panel_height, Y
-    )
-    if tiled.sparse_part.nnz:
-        Y += spmm(tiled.sparse_part, X, backend=backend)
-    return Y
+        out = np.empty((tiled.original.n_rows, X.shape[1]), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else)
+    return KernelSession(tiled, backend=backend).run(X, out=out)

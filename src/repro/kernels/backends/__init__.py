@@ -2,11 +2,11 @@
 
 The paper's speedups come from tailoring execution to each matrix's
 structure; this package carries that idea past strategy selection into
-*code* selection.  A :class:`SpecializationSpec` captures the structural
-facts worth baking into a kernel (K-chunk width, empty-row presence,
-panel height, dense-ratio bucket); a backend compiles it into a
-:class:`CompiledKernel`; the registry caches artifacts process-wide by
-``(backend, spec fingerprint)`` so warm sessions never recompile.
+*code* selection.  A :class:`SpecializationSpec` captures the facts a
+kernel bakes in (kernel, operand dtype, K-chunk width); a backend
+compiles it into a :class:`CompiledKernel`; the registry caches
+artifacts process-wide by ``(backend, spec fingerprint)`` so warm
+sessions never recompile.
 
 Two backends are always registered:
 
@@ -33,7 +33,6 @@ from repro.kernels.backends.base import (
     CompiledKernel,
     KernelBackend,
     SpecializationSpec,
-    specialize,
 )
 from repro.kernels.backends.numba_backend import NumbaBackend
 from repro.kernels.backends.numpy_backend import NumpyBackend
@@ -52,7 +51,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "specialize",
     "register_backend",
     "get_backend",
     "backend_names",

@@ -1,12 +1,14 @@
 """Backend abstraction: specialization specs, compiled artifacts, base class.
 
-A *backend* turns a :class:`SpecializationSpec` — the structural facts
-about one matrix that are worth baking into code (K-chunk width, whether
-any row is empty, panel height, dense-ratio bucket) — into a
-:class:`CompiledKernel` whose ``fn`` executes one kernel.  The contract
-every backend is held to (by the cross-backend differential test matrix,
-``tests/unit/test_backend_differential.py``) is the paper's "same bits,
-faster" claim:
+A *backend* turns a :class:`SpecializationSpec` — the kernel, the
+operand dtype and the K-chunk width, the facts its generated code bakes
+in — into a :class:`CompiledKernel` whose ``fn`` executes one kernel.
+:class:`repro.kernels.KernelSession` is the one place that compiles
+artifacts for SpMM and runs them; plans record only the backend *name*.
+
+The contract every backend is held to (by the cross-backend differential
+test matrix, ``tests/unit/test_backend_differential.py``) is the paper's
+"same bits, faster" claim:
 
 * the ``numpy`` backend must be **bitwise identical** to the gather
   reference (:func:`repro.kernels.spmm_gather_reference`) — per output
@@ -31,11 +33,10 @@ kernel      signature and contract
             values array (``(Y[i] . X[c]) * csr.value`` per entry).
 =========  ==================================================================
 
-Compiled kernels allocate their own scratch.
-:func:`repro.kernels.spmm_tiled` is a *hybrid* on every backend: the
-dense-tile phase is the shared panel-gather implementation and only the
-sparse remainder goes through :func:`repro.kernels.spmm` and so through
-the backend's compiled SpMM.
+Compiled kernels allocate their own scratch.  Tiled and plan SpMM are a
+*hybrid* on every backend: the dense-tile phase is the shared
+panel-gather implementation and only the sparse remainder runs the
+backend's compiled SpMM.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "SpecializationSpec",
     "CompiledKernel",
     "KernelBackend",
-    "specialize",
 ]
 
 
@@ -65,12 +65,10 @@ def _dtype_token(dtype) -> str:
 
 @dataclass(frozen=True)
 class SpecializationSpec:
-    """The structural facts one compiled kernel is specialized to.
+    """The facts one compiled kernel is specialized to.
 
-    Every field participates in :meth:`fingerprint`, which keys the
-    process-global artifact cache and — via the descriptor stored next to
-    the plan in the plan store — the content-addressed plan key, so a
-    warm session never recompiles an artifact it already holds.
+    Every field is read by some backend's ``compile`` and participates in
+    :meth:`fingerprint`, which keys the process-global artifact cache.
 
     Parameters
     ----------
@@ -83,28 +81,11 @@ class SpecializationSpec:
         operands' common dtype for bitwise identity with ``einsum``.
     chunk_k:
         K-chunk width baked into the SpMM inner loop.
-    nonempty_rows:
-        When true, the matrix has no empty rows and the generated SpMM
-        elides the empty-row zeroing epilogue.
-    k_hint:
-        Expected operand width (``0`` = unknown).  Advisory — kernels
-        must stay correct for any K — but part of the cache key so a
-        plan built for a known serving width gets its own artifact.
-    panel_height:
-        ASpT panel height for tiled targets (``0`` for plain CSR).
-    dense_bucket:
-        Dense-phase nnz share in tenths (``0``–``10``) for tiled
-        targets, ``-1`` for plain CSR.  Bucketed so near-identical
-        splits share one artifact.
     """
 
     kernel: str = "spmm"
     dtype: str = "any"
     chunk_k: int = DEFAULT_CHUNK_K
-    nonempty_rows: bool = False
-    k_hint: int = 0
-    panel_height: int = 0
-    dense_bucket: int = -1
 
     def fingerprint(self) -> str:
         """Stable hex digest over every field (sorted ``name=repr``)."""
@@ -112,116 +93,18 @@ class SpecializationSpec:
         parts = [f"{k}={fields[k]!r}".encode("utf-8") for k in sorted(fields)]
         return stable_digest(*parts)
 
-    def to_descriptor(self) -> tuple[str, ...]:
-        """Serialise as ``("kernel=spmm", "dtype=any", ...)`` strings.
-
-        The flat string form survives the plan store's ``.npz`` round
-        trip and stays human-readable in ``repro doctor`` output.
-        """
-        fields = dataclasses.asdict(self)
-        return tuple(f"{k}={fields[k]}" for k in sorted(fields))
-
-    @classmethod
-    def from_descriptor(cls, parts) -> "SpecializationSpec":
-        """Parse :meth:`to_descriptor` output (unknown keys are ignored)."""
-        known = {f.name: f.type for f in dataclasses.fields(cls)}
-        kwargs: dict = {}
-        for part in parts:
-            key, sep, value = str(part).partition("=")
-            if not sep or key not in known:
-                continue
-            if key in ("kernel", "dtype"):
-                kwargs[key] = value
-            elif key == "nonempty_rows":
-                kwargs[key] = value == "True"
-            else:
-                kwargs[key] = int(value)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class CompiledKernel:
-    """One backend-compiled kernel plus its provenance.
+    """One backend-compiled kernel.
 
     ``fn`` follows the calling convention for ``spec.kernel`` documented
-    in the module docstring.  ``source`` is the generated source text for
-    backends that generate code (``numba``) — kept for debuggability and
-    asserted on in the test suite — and ``None`` for the ``numpy``
-    reference.  ``compile_seconds`` is the measured wall
-    clock of the ``backend.compile`` span that produced this artifact.
+    in the module docstring.
     """
 
     backend: str
     spec: SpecializationSpec
     fn: object
-    source: str | None = None
-    compile_seconds: float = 0.0
-
-    def descriptor(self) -> tuple[str, ...]:
-        """Flat string form: backend + spec fields + spec fingerprint."""
-        return (
-            f"backend={self.backend}",
-            *self.spec.to_descriptor(),
-            f"fingerprint={self.spec.fingerprint()}",
-        )
-
-
-def specialize(
-    target,
-    *,
-    kernel: str = "spmm",
-    dtype: str = "any",
-    chunk_k: int = DEFAULT_CHUNK_K,
-    k_hint: int = 0,
-) -> SpecializationSpec:
-    """Derive the :class:`SpecializationSpec` for a kernel on ``target``.
-
-    ``target`` may be a :class:`~repro.sparse.CSRMatrix` or
-    :class:`~repro.kernels.state.CsrState` (plain row-wise structure), an
-    ASpT ``TiledMatrix`` (panel height and dense-ratio bucket enter the
-    key) or an ``ExecutionPlan`` (specialized to its tiled form; the
-    remainder is handled conservatively, so ``nonempty_rows`` stays
-    false).  Detection is structural rather than by class to keep this
-    module import-light.
-    """
-    if isinstance(target, CsrState):
-        csr = target.csr
-        nonempty = not target.any_empty and csr.nnz > 0
-        return SpecializationSpec(
-            kernel=kernel,
-            dtype=dtype,
-            chunk_k=int(chunk_k),
-            nonempty_rows=nonempty,
-            k_hint=int(k_hint),
-        )
-    if isinstance(target, CSRMatrix):
-        nonempty = bool(target.nnz > 0 and (target.row_lengths() > 0).all())
-        return SpecializationSpec(
-            kernel=kernel,
-            dtype=dtype,
-            chunk_k=int(chunk_k),
-            nonempty_rows=nonempty,
-            k_hint=int(k_hint),
-        )
-    tiled = getattr(target, "tiled", target)
-    spec_obj = getattr(tiled, "spec", None)
-    original = getattr(tiled, "original", None)
-    dense_part = getattr(tiled, "dense_part", None)
-    if spec_obj is None or original is None or dense_part is None:
-        raise TypeError(
-            "specialize() target must be a CSRMatrix, CsrState, TiledMatrix "
-            f"or ExecutionPlan, got {type(target).__name__}"
-        )
-    dense_bucket = int(10 * dense_part.nnz / original.nnz) if original.nnz else 0
-    return SpecializationSpec(
-        kernel=kernel,
-        dtype=dtype,
-        chunk_k=int(chunk_k),
-        nonempty_rows=False,
-        k_hint=int(k_hint),
-        panel_height=int(spec_obj.panel_height),
-        dense_bucket=dense_bucket,
-    )
 
 
 class KernelBackend:
@@ -290,9 +173,8 @@ class KernelBackend:
             out = np.empty((csr.n_rows, K), dtype=np.float64)  # reprolint: disable=RD501 -- out= buffers are float64 by contract (check_out rejects anything else), so both branches agree
         else:
             out = check_out("out", out, rows=csr.n_rows, cols=K)
-        state = CsrState(csr)
-        spec = specialize(state, kernel="spmm", dtype=_dtype_token(X.dtype))
-        self.artifact(spec).fn(state, X, out)
+        spec = SpecializationSpec(kernel="spmm", dtype=_dtype_token(X.dtype))
+        self.artifact(spec).fn(CsrState(csr), X, out)
         return out
 
     def spmv(self, csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
@@ -304,7 +186,7 @@ class KernelBackend:
             )
         if csr.nnz == 0:
             return np.zeros(csr.n_rows, dtype=np.float64)
-        spec = specialize(csr, kernel="spmv", dtype="float64")
+        spec = SpecializationSpec(kernel="spmv", dtype="float64")
         return self.artifact(spec).fn(csr, x)
 
     def sddmm(self, csr: CSRMatrix, X: np.ndarray, Y: np.ndarray) -> CSRMatrix:
@@ -316,5 +198,5 @@ class KernelBackend:
         # The dot-product accumulator must live in the operands' common
         # dtype (einsum semantics), so the artifact is dtype-specific.
         common = _dtype_token(np.result_type(X.dtype, Y.dtype))
-        spec = specialize(csr, kernel="sddmm", dtype=common)
+        spec = SpecializationSpec(kernel="sddmm", dtype=common)
         return csr.with_values(self.artifact(spec).fn(csr, X, Y))

@@ -137,7 +137,7 @@ class NumbaBackend(KernelBackend):
         exec(compile(source, filename, "exec"), namespace)  # noqa: S102
         raw = numba.njit(namespace["kernel"], fastmath=False, parallel=True)
         fn = _wrap(spec.kernel, raw)
-        return CompiledKernel(backend=self.name, spec=spec, fn=fn, source=source)
+        return CompiledKernel(backend=self.name, spec=spec, fn=fn)
 
 
 def _wrap(kernel: str, raw):

@@ -12,23 +12,22 @@ instead of failing — an optional JIT is never a hard dependency.
 Compilation goes through :func:`compiled_artifact`, the single choke
 point that adds what every backend's ``compile`` needs: the
 process-global artifact cache keyed by ``(backend, spec fingerprint)``
-(warm sessions and repeated plan builds never recompile), the
-``backend.compile`` tracing span, measured compile seconds, the
-``kernels.backend_compile`` counter and the ``backend.compile`` fault
-point that the chaos suite uses to prove compile failures degrade
-cleanly.
+(warm sessions never recompile), the ``backend.compile`` tracing span,
+the ``kernels.backend_compile`` counter and the ``backend.compile``
+fault point that the chaos suite uses to prove compile failures degrade
+cleanly.  Plans only name a backend; :class:`repro.kernels.KernelSession`
+is the caller that compiles.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import warnings
 
 from repro.errors import BackendUnavailable, ConfigError, DegradedExecution
 from repro.kernels.backends.base import CompiledKernel, KernelBackend, SpecializationSpec
 from repro.observability.metrics import METRICS
-from repro.observability.tracing import Stages
+from repro.observability.tracing import span
 from repro.resilience.faults import fault_point
 from repro.util.log import get_logger
 
@@ -132,11 +131,9 @@ def compiled_artifact(
 ) -> CompiledKernel:
     """The cached :class:`CompiledKernel` for ``(backend, spec)``.
 
-    Cache misses compile under the ``backend.compile`` tracing span with
-    wall-clock attribution and the ``kernels.backend_compile`` counter;
-    hits are a dict lookup, which is what lets warm sessions (and plan
-    materialisation against an already-seen fingerprint) skip
-    recompilation entirely.  Propagates
+    Cache misses compile under the ``backend.compile`` tracing span and
+    count in ``kernels.backend_compile``; hits are a dict lookup, which
+    is what lets warm sessions skip recompilation entirely.  Propagates
     :class:`~repro.errors.BackendUnavailable` from the backend or from
     the ``backend.compile`` fault point — degradable callers catch it.
     """
@@ -145,10 +142,7 @@ def compiled_artifact(
         cached = _ARTIFACTS.get(key)
     if cached is not None:
         return cached
-    stages = Stages()
-    with stages(
-        "compile", "backend.compile", backend=backend.name, kernel=spec.kernel
-    ):
+    with span("backend.compile", backend=backend.name, kernel=spec.kernel):
         fault_point("backend.compile")
         if not backend.available():
             raise BackendUnavailable(
@@ -156,7 +150,6 @@ def compiled_artifact(
                 f"{backend.unavailable_reason() or 'unavailable'}"
             )
         kernel = backend.compile(spec)
-    kernel = dataclasses.replace(kernel, compile_seconds=stages.seconds["compile"])
     METRICS.counter(
         "kernels.backend_compile", "compiled-kernel artifacts built (cache misses)"
     ).inc()

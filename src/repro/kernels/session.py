@@ -11,11 +11,11 @@ column remaps, scratch buffers, the output array.  A
 * the row-wise multiplies run through a **compiled kernel backend**
   (:mod:`repro.kernels.backends`): at construction the session resolves
   the requested backend (its own ``backend=`` argument, or the plan's
-  ``backend`` field for plan targets) and compiles one artifact per
-  pinned :class:`~repro.kernels.state.CsrState`, specialized to that
-  matrix's structure.  Compiled artifacts are cached process-wide, so a
-  warm session constructed against an already-seen fingerprint skips
-  compilation entirely;
+  ``backend`` field for plan targets) and fetches the SpMM artifact for
+  its K-chunk width.  This is the one place an SpMM artifact is compiled
+  and run: a plan records only the backend *name*.  Compiled artifacts
+  are cached process-wide, so a warm session skips compilation
+  entirely;
 * the reference strategy itself (the ``numpy`` backend) multiplies
   *transposed and K-chunked*: the dense operand is staged as ``X.T``
   (one contiguous ``K x N`` copy) and processed in chunks of ``chunk_k``
@@ -23,19 +23,22 @@ column remaps, scratch buffers, the output array.  A
   contiguous axis and the active chunk stays cache resident.  This is
   the CPU analogue of the GPU kernel's coalesced-access + shared-memory
   staging.  The one-shot :func:`~repro.kernels.spmm` runs the same
-  kernel over a transient state; a session saves the per-call state
-  build.  Scratch is allocated per call, like the one-shot kernels: on
+  kernel over a transient state, and the one-shot
+  :func:`~repro.kernels.spmm_tiled` and
+  :meth:`~repro.reorder.ExecutionPlan.spmm` run a transient session; a
+  pinned session saves the per-call state build.  Scratch is allocated per call, like the one-shot kernels: on
   the served plan sessions that measured faster than leasing it from a
   pool (``docs/PERFORMANCE.md`` §1).
 
-Results are **bitwise identical** to the one-shot kernels and to
-:func:`~repro.kernels.spmm_gather_reference` (``numpy`` backend) or
-within 1 ULP (``numba``): per output element the same products are
-accumulated left-to-right in the same order, and float32 operands are
-widened by an exact cast before the same float64 multiply.  The
-equivalence is asserted in the oracle tests, the cross-backend
-differential matrix and, for plans, by
-:meth:`repro.reorder.ExecutionPlan.validate`.
+Results are **bitwise identical** (``numpy`` backend) or within 1 ULP
+(``numba``) to :func:`~repro.kernels.spmm_gather_reference` composed
+over the target's parts — for tiles, the gather over the dense part plus
+the gather over the sparse part; for plans, the remainder added at
+``remainder_order`` and the sum scattered by ``row_order``: per output
+element the same products are accumulated left-to-right in the same
+order, and float32 operands are widened by an exact cast before the
+same float64 multiply.  The equivalence is asserted in the oracle tests
+and the cross-backend differential matrix.
 
 Degradation is never fatal: if the requested backend is unavailable or
 its compile fails (including the injected ``backend.compile`` chaos
@@ -47,10 +50,10 @@ fault), the session falls back to the uncompiled numpy reference path —
 A session accepts three target types:
 
 * :class:`~repro.sparse.CSRMatrix` — matches :func:`repro.kernels.spmm`;
-* :class:`~repro.aspt.TiledMatrix` — matches
-  :func:`repro.kernels.spmm_tiled`;
-* :class:`~repro.reorder.ExecutionPlan` — matches
-  :meth:`~repro.reorder.ExecutionPlan.spmm` (multiplies in original
+* :class:`~repro.aspt.TiledMatrix` — what :func:`repro.kernels.spmm_tiled`
+  runs;
+* :class:`~repro.reorder.ExecutionPlan` — what
+  :meth:`~repro.reorder.ExecutionPlan.spmm` runs (multiplies in original
   coordinates through the reordered execution plan).
 
 Sessions are thread-safe: scratch is allocated per call and the default
@@ -132,72 +135,71 @@ class KernelSession:
 
         Shared by construction and :meth:`refresh`; every target-derived
         attribute is (re)assigned here so a refresh leaves no stale state
-        behind.
+        behind.  ``_state`` is the one CSR part the session multiplies
+        row-wise: the whole matrix, the tiled sparse part, or the plan's
+        round-2-ordered remainder (``None`` when that part is empty).
         """
         self._plan = None
-        self._tiled = None
-        self._steady = None
-        self._sparse = None
-        self._remainder = None
+        self._panels = None
         if isinstance(target, CSRMatrix):
             self._kind = "csr"
-            self._n_rows = target.n_rows
-            self._n_cols = target.n_cols
-            self._steady = CsrState(target)
-            states = [self._steady]
+            self._n_rows, self._n_cols = target.n_rows, target.n_cols
+            csr_part = target
         elif isinstance(target, TiledMatrix):
             self._kind = "tiled"
             self._init_tiled(target)
-            states = [self._sparse] if self._sparse is not None else []
+            csr_part = target.sparse_part
         elif hasattr(target, "tiled") and hasattr(target, "row_order"):
             # ExecutionPlan (duck-typed: repro.reorder imports this module's
             # package, so a class check would be a circular import).
             self._kind = "plan"
             self._plan = target
             self._init_tiled(target.tiled)
-            self._remainder = (
-                CsrState(target.remainder) if target.remainder.nnz else None
-            )
-            states = [s for s in (self._sparse, self._remainder) if s is not None]
+            csr_part = target.remainder
         else:
             raise TypeError(
                 "KernelSession target must be a CSRMatrix, TiledMatrix or "
                 f"ExecutionPlan, got {type(target).__name__}"
             )
+        if self._kind != "csr" and csr_part.nnz == 0:
+            self._state = None
+        else:
+            self._state = CsrState(csr_part)
         self.target = target
-        self._init_backend(self._requested_backend, states)
+        self._init_backend(self._requested_backend)
 
     def _init_tiled(self, tiled: TiledMatrix) -> None:
-        self._tiled = tiled
         self._n_rows = tiled.original.n_rows
         self._n_cols = tiled.original.n_cols
         self._panels = panel_plan(
             tiled.dense_part, tiled.panel_dense_cols, tiled.spec.panel_height
         )
-        self._sparse = (
-            CsrState(tiled.sparse_part) if tiled.sparse_part.nnz else None
-        )
 
-    def _init_backend(self, backend: str | None, states: list[CsrState]) -> None:
-        """Resolve the backend and compile one SpMM artifact per state.
+    def _init_backend(self, backend: str | None) -> None:
+        """Resolve the backend and, if a CSR part is pinned, compile the
+        SpMM artifact for it.
 
         Unavailable backends degrade inside ``resolve_backend``; compile
         *failures* (e.g. the injected ``backend.compile`` fault) degrade
         here, all the way down to the uncompiled numpy reference path —
         a session never fails to construct over its backend.
         """
-        from repro.kernels.backends import get_backend, resolve_backend, specialize
+        from repro.kernels.backends import (
+            SpecializationSpec,
+            get_backend,
+            resolve_backend,
+        )
 
         requested = backend
         if requested is None and self._kind == "plan":
             requested = getattr(self._plan, "backend", None)
         backend_obj, provenance = resolve_backend(requested)
         provenance = list(provenance)
+        fn = None  # None: _multiply runs the uncompiled reference path
         try:
-            mult = {}
-            for state in states:
-                spec = specialize(state, kernel="spmm", chunk_k=self.chunk_k)
-                mult[id(state)] = backend_obj.artifact(spec).fn
+            if self._state is not None:
+                spec = SpecializationSpec(kernel="spmm", chunk_k=self.chunk_k)
+                fn = backend_obj.artifact(spec).fn
         except BackendUnavailable as exc:
             METRICS.counter(
                 "kernels.backend_fallback",
@@ -219,9 +221,8 @@ class KernelSession:
                 stacklevel=3,
             )
             backend_obj = get_backend("numpy")
-            mult = {}  # empty: _multiply uses the uncompiled reference path
         self._backend_obj = backend_obj
-        self._mult = mult
+        self._fn = fn
         self.backend_provenance = tuple(provenance)
 
     # ------------------------------------------------------------------
@@ -280,13 +281,12 @@ class KernelSession:
             self._local.out = pinned
         return pinned
 
-    def _multiply(self, state: CsrState, X: np.ndarray, out: np.ndarray) -> None:
-        """One pinned-state SpMM through the session's compiled artifact."""
-        fn = self._mult.get(id(state))
-        if fn is not None:
-            fn(state, X, out)
+    def _multiply(self, X: np.ndarray, out: np.ndarray) -> None:
+        """The pinned CSR part's SpMM through the session's compiled artifact."""
+        if self._fn is not None:
+            self._fn(self._state, X, out)
         else:
-            state.multiply(X, out, self.chunk_k)
+            self._state.multiply(X, out, self.chunk_k)
 
     def run(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``target @ X`` (for plans: in original coordinates).
@@ -296,7 +296,7 @@ class KernelSession:
         ``out=`` (or copy) to keep a result across calls.
         """
         if self._kind == "plan":
-            # ExecutionPlan.spmm validates with the float64-casting form.
+            # Plans cast operands to float64: ExecutionPlan.spmm's contract.
             X = check_dense("X", X, rows=self._n_cols)
         else:
             X = check_dense("X", X, rows=self._n_cols, dtype=None)
@@ -304,7 +304,7 @@ class KernelSession:
         out = self._output(K, out)
         with span("kernel.run", kind=self._kind, k=K):
             if self._kind == "csr":
-                self._multiply(self._steady, X, out)
+                self._multiply(X, out)
             elif self._kind == "tiled":
                 self._run_tiled(X, out)
             else:
@@ -321,40 +321,24 @@ class KernelSession:
 
     # ------------------------------------------------------------------
     def _run_tiled(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Bitwise-identical to :func:`repro.kernels.spmm_tiled`."""
-        tiled = self._tiled
+        """Dense tiles through the panel buffers, then the sparse part."""
         out[:] = 0.0
-        _panel_dense_spmm(
-            tiled.dense_part,
-            X,
-            tiled.panel_dense_cols,
-            tiled.spec.panel_height,
-            out,
-            panels=self._panels,
-        )
-        if self._sparse is not None:
+        _panel_dense_spmm(self._panels, X, out)
+        if self._state is not None:
             remainder = np.empty((self._n_rows, X.shape[1]), dtype=np.float64)
-            self._multiply(self._sparse, X, remainder)
+            self._multiply(X, remainder)
             np.add(out, remainder, out=out)
 
     def _run_plan(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Bitwise-identical to :meth:`repro.reorder.ExecutionPlan.spmm`."""
+        """The tiled run in reordered row space, scattered back to original rows."""
         plan = self._plan
-        tiled = self._tiled
-        K = X.shape[1]
         # Accumulate in round-1 (reordered) row space.
-        y_reordered = np.zeros((self._n_rows, K), dtype=np.float64)
-        _panel_dense_spmm(
-            tiled.dense_part,
-            X,
-            tiled.panel_dense_cols,
-            tiled.spec.panel_height,
-            y_reordered,
-            panels=self._panels,
-        )
-        if self._remainder is not None:
-            y_rem = np.empty((self._n_rows, K), dtype=np.float64)
-            self._multiply(self._remainder, X, y_rem)
+        y_reordered = np.zeros((self._n_rows, X.shape[1]), dtype=np.float64)
+        _panel_dense_spmm(self._panels, X, y_reordered)
+        if self._state is not None:
+            y_rem = np.empty_like(y_reordered)
+            self._multiply(X, y_rem)
+            # Remainder row r is reordered-space row remainder_order[r].
             y_reordered[plan.remainder_order] += y_rem
         # Scatter back: reordered row r is original row row_order[r].
         out[plan.row_order] = y_reordered

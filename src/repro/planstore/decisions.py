@@ -41,14 +41,10 @@ class PlanDecisions:
     a resilience policy — in practice always, since degraded plans are
     never cached, but the field keeps the round trip lossless).
 
-    ``backend``/``artifact`` record the compiled kernel backend the plan
-    resolved to and its artifact descriptor (spec fields + fingerprint)
-    — stored next to the decisions so a warm hit knows which compiled
-    artifact the plan was built against without re-deriving the spec.
-    They are *advisory*: :meth:`materialise` re-resolves the config's
-    backend in the **current** environment, so an entry cached on a
-    machine with numba never pins a numba requirement onto a machine
-    without it (nor the reverse).
+    The kernel backend is not a decision: :meth:`materialise` resolves
+    the config's backend in the **current** environment, so an entry
+    cached on a machine with numba never pins a numba requirement onto a
+    machine without it (nor the reverse).
     """
 
     row_order: np.ndarray
@@ -56,8 +52,6 @@ class PlanDecisions:
     stats: PlanStats
     preprocess_total: float
     provenance: tuple = ()
-    backend: str = "numpy"
-    artifact: tuple = ()
 
     @classmethod
     def from_plan(cls, plan: ExecutionPlan) -> "PlanDecisions":
@@ -70,8 +64,6 @@ class PlanDecisions:
             stats=plan.stats,
             preprocess_total=plan.preprocessing_time,
             provenance=tuple(plan.provenance),
-            backend=plan.backend,
-            artifact=tuple(plan.artifact),
         )
 
     @property
@@ -119,10 +111,9 @@ class PlanDecisions:
                 "cold_total": self.preprocess_total,
             },
         )
-        # Re-resolve the backend here rather than trusting the cached
-        # value: availability is a property of this process, not of the
-        # entry.  A warm hit against an already-seen spec fingerprint
-        # reuses the process-global compiled artifact (no recompile).
+        # Resolve the backend here: availability is a property of this
+        # process, not of the entry.  Sessions compile (or reuse the
+        # process-global artifact) when the plan first runs.
         from repro.reorder.pipeline import attach_backend
 
         return attach_backend(plan, config)

@@ -77,8 +77,6 @@ def _entry_checksum(
     stats: np.ndarray,
     preprocess_total: float,
     provenance,
-    backend: str,
-    artifact,
 ) -> int:
     """CRC-32 over the entry's semantic content (layout-independent)."""
     crc = zlib.crc32(np.ascontiguousarray(row_order, dtype=np.int64).tobytes())
@@ -89,9 +87,6 @@ def _entry_checksum(
     crc = zlib.crc32(np.float64(preprocess_total).tobytes(), crc)
     for step in provenance:
         crc = zlib.crc32(str(step).encode("utf-8"), crc)
-    crc = zlib.crc32(str(backend).encode("utf-8"), crc)
-    for part in artifact:
-        crc = zlib.crc32(str(part).encode("utf-8"), crc)
     return crc & 0xFFFFFFFF
 
 
@@ -117,7 +112,7 @@ class DiskPlanStore:
         """Load ``key`` from disk; any failure degrades to a miss."""
         path = self.path_for(key)
         if not path.exists():
-            self.stats.misses += 1
+            self.stats.miss.inc()
             return None
         try:
             with span("planstore.get", key=key):
@@ -131,9 +126,9 @@ class DiskPlanStore:
                 exc,
             )
             self._quarantine(path)
-            self.stats.misses += 1
+            self.stats.miss.inc()
             return None
-        self.stats.hits += 1
+        self.stats.hit.inc()
         return decisions
 
     def put(self, key: str, decisions: PlanDecisions) -> None:
@@ -153,7 +148,7 @@ class DiskPlanStore:
                     lambda: self._write(tmp, path, decisions),
                     label=f"plan cache put {path.name}",
                 )
-            self.stats.puts += 1
+            self.stats.put.inc()
         except OSError as exc:
             _log.warning("plan cache: could not write %s (%s)", path.name, exc)
             try:
@@ -187,15 +182,12 @@ class DiskPlanStore:
             ]
         )
         provenance = np.array(list(decisions.provenance), dtype=np.str_)
-        artifact = np.array(list(decisions.artifact), dtype=np.str_)
         checksum = _entry_checksum(
             decisions.row_order,
             decisions.remainder_order,
             stats_block,
             decisions.preprocess_total,
             decisions.provenance,
-            decisions.backend,
-            decisions.artifact,
         )
         with open(tmp, "wb") as fh:
             np.savez_compressed(
@@ -206,8 +198,6 @@ class DiskPlanStore:
                 stats=stats_block,
                 preprocess_total=np.float64(decisions.preprocess_total),
                 provenance=provenance,
-                backend=np.str_(decisions.backend),
-                artifact=artifact,
                 checksum=np.int64(checksum),
             )
         os.replace(tmp, path)
@@ -230,8 +220,6 @@ class DiskPlanStore:
                 raise ValueError(f"stats block has shape {raw.shape}, expected (8,)")
             preprocess_total = float(data["preprocess_total"])
             provenance = tuple(str(s) for s in data["provenance"].tolist())
-            backend = str(data["backend"])
-            artifact = tuple(str(s) for s in data["artifact"].tolist())
             declared = int(data["checksum"]) & 0xFFFFFFFF
         actual = _entry_checksum(
             row_order,
@@ -239,8 +227,6 @@ class DiskPlanStore:
             raw,
             preprocess_total,
             provenance,
-            backend,
-            artifact,
         )
         if actual != declared:
             raise CorruptStoreError(
@@ -262,8 +248,6 @@ class DiskPlanStore:
             stats=stats,
             preprocess_total=preprocess_total,
             provenance=provenance,
-            backend=backend,
-            artifact=artifact,
         )
 
     def _quarantine(self, path: Path) -> None:

@@ -41,7 +41,10 @@ __all__ = [
 #: (degradation-ladder history); v1 entries quarantine on read.
 #: v3: entries gained the resolved kernel ``backend`` name and the
 #: compiled-artifact descriptor; v2 entries quarantine on read.
-PLAN_FORMAT_VERSION = 3
+#: v4: both v3 fields are gone again (nothing read them: the backend is
+#: re-resolved from the config on every materialisation); the version is
+#: part of :func:`plan_key`, so v3 entries simply miss.
+PLAN_FORMAT_VERSION = 4
 
 
 def pattern_fingerprint(csr: CSRMatrix) -> str:

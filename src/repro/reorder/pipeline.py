@@ -25,10 +25,10 @@ import numpy as np
 from repro.aspt.tiles import TiledMatrix, tile_matrix
 from repro.clustering.hierarchical import cluster_rows
 from repro.contracts import checked, validates
-from repro.errors import BackendUnavailable, DegradedExecution, TimeoutExceeded
+from repro.errors import DegradedExecution, TimeoutExceeded
 from repro.kernels.aspt_sddmm import sddmm_tiled
-from repro.kernels.aspt_spmm import _panel_dense_spmm
-from repro.kernels.spmm import spmm, spmm_gather_reference
+from repro.kernels.session import KernelSession
+from repro.kernels.spmm import spmm_gather_reference
 from repro.kernels.sddmm import sddmm
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import Stages, span
@@ -163,23 +163,16 @@ class ExecutionPlan:
         exceeded its 2s deadline", "round1-only: ok")``.  Empty for
         plans built without a policy.
     backend:
-        The compiled kernel backend the plan's sessions execute through
-        (the *resolved* backend — after any degradation).  Defaults to
-        the ``numpy`` reference.
+        Name of the compiled kernel backend the plan's sessions execute
+        through (the *resolved* backend — after any degradation).
+        Defaults to the ``numpy`` reference.  The plan holds no compiled
+        code: :class:`~repro.kernels.KernelSession` compiles.
     backend_provenance:
         Degradation history for the backend choice, e.g.
         ``("backend:numba->numpy: numba is not importable (...)",)``.
         Kept separate from :attr:`provenance` on purpose: a missing
         optional JIT must not mark the *plan* degraded (degraded plans
         are never cached, and the reordering decisions are unaffected).
-    artifact:
-        Compiled-artifact descriptor — flat ``"key=value"`` strings from
-        :meth:`repro.kernels.backends.CompiledKernel.descriptor`,
-        including the specialization fingerprint that keys the
-        process-global artifact cache.  Stored in the plan store next to
-        the decisions so warm sessions know the artifact without
-        re-deriving it.  Empty when the backend resolved to ``numpy``
-        without compiling.
     revision:
         Streaming update counter: 0 for a freshly built plan, bumped by
         one each time :func:`repro.streaming.apply_delta` produces the
@@ -199,7 +192,6 @@ class ExecutionPlan:
     provenance: tuple = ()
     backend: str = "numpy"
     backend_provenance: tuple = ()
-    artifact: tuple = ()
     revision: int = 0
 
     @property
@@ -240,27 +232,14 @@ class ExecutionPlan:
     # multiplication in original coordinates
     # ------------------------------------------------------------------
     def spmm(self, X: np.ndarray) -> np.ndarray:
-        """``original @ X`` computed through the reordered execution plan."""
+        """``original @ X`` computed through the reordered execution plan.
+
+        A one-shot run of a transient :meth:`session`, so the remainder
+        runs through the plan's :attr:`backend`.
+        """
         X = check_dense("X", X, rows=self.original.n_cols)
-        k = X.shape[1]
-        m = self.original.n_rows
-        # Accumulate in round-1 (reordered) row space.
-        y_reordered = np.zeros((m, k), dtype=np.float64)
-        _panel_dense_spmm(
-            self.tiled.dense_part,
-            X,
-            self.tiled.panel_dense_cols,
-            self.tiled.spec.panel_height,
-            y_reordered,
-        )
-        if self.remainder.nnz:
-            y_rem = spmm(self.remainder, X)
-            # remainder row r is reordered-space row remainder_order[r].
-            y_reordered[self.remainder_order] += y_rem
-        # Scatter back: reordered row r is original row row_order[r].
-        out = np.empty_like(y_reordered)
-        out[self.row_order] = y_reordered
-        return out
+        out = np.empty((self.original.n_rows, X.shape[1]), dtype=np.float64)
+        return self.session().run(X, out=out)
 
     def sddmm(self, X: np.ndarray, Y: np.ndarray) -> CSRMatrix:
         """``(Y @ X.T) .* original`` computed through the plan.
@@ -306,7 +285,6 @@ class ExecutionPlan:
             ),
             preprocess_total=np.float64(self.preprocessing_time),
             backend=np.str_(self.backend),
-            artifact=np.array(list(self.artifact), dtype=np.str_),
         )
 
     @classmethod
@@ -329,18 +307,14 @@ class ExecutionPlan:
             dense_threshold = int(data["dense_threshold"])
             raw = data["stats"]
             preprocess_total = float(data["preprocess_total"])
-            # Tolerant read: files written before the backend fields
-            # existed load as numpy-backed plans.
+            # Tolerant read: files written before the backend field
+            # existed load as numpy-backed plans; an ``artifact`` field
+            # (older layout) is ignored.
             backend = str(data["backend"]) if "backend" in data.files else "numpy"
-            artifact = (
-                tuple(str(s) for s in data["artifact"].tolist())
-                if "artifact" in data.files
-                else ()
-            )
         backend_provenance: tuple = ()
         if backend not in backend_names():
             backend_provenance = (f"backend:{backend}->numpy: not registered",)
-            backend, artifact = "numpy", ()
+            backend = "numpy"
         if row_order.size != original.n_rows:
             raise ValueError(
                 f"plan was saved for {row_order.size} rows; matrix has "
@@ -369,20 +343,17 @@ class ExecutionPlan:
             preprocess_seconds={"total": preprocess_total},
             backend=backend,
             backend_provenance=backend_provenance,
-            artifact=artifact,
         )
 
     def session(self, **kwargs):
         """A :class:`~repro.kernels.KernelSession` pinned on this plan.
 
-        The session multiplies in original coordinates exactly like
-        :meth:`spmm` (bitwise — asserted by :meth:`validate`) but hoists
-        the per-call panel remaps, so it is the preferred interface for
-        repeated multiplies against one plan.
-        Keyword arguments are forwarded to the session constructor.
+        The session is the plan's executor: it multiplies in original
+        coordinates like :meth:`spmm` but hoists the per-call panel
+        remaps, so it is the preferred interface for repeated multiplies
+        against one plan.  Keyword arguments are forwarded to the session
+        constructor.
         """
-        from repro.kernels import KernelSession
-
         return KernelSession(self, **kwargs)
 
     def validate(self, X: np.ndarray | None = None, seed: int = 0) -> None:
@@ -394,9 +365,6 @@ class ExecutionPlan:
             self.spmm(X), spmm_gather_reference(self.original, X),
             rtol=1e-10, atol=1e-9,
         )
-        # The pinned-session path must agree with the one-shot plan
-        # multiply bit for bit (same products, same accumulation order).
-        np.testing.assert_array_equal(self.session().run(X), self.spmm(X))
         Y = rng.normal(size=(self.original.n_rows, X.shape[1]))
         got = self.sddmm(X, Y)
         want = sddmm(self.original, X, Y)
@@ -405,62 +373,26 @@ class ExecutionPlan:
 
 
 def attach_backend(plan: ExecutionPlan, config: ReorderConfig) -> ExecutionPlan:
-    """Resolve ``config.backend`` and pin its artifact descriptor on ``plan``.
+    """Resolve ``config.backend`` and record the backend name on ``plan``.
 
     Runs at the end of every plan build *and* on every cache
     materialisation, so the choice always reflects the current
     environment — a plan cached on a machine with numba does not pin a
-    numba requirement onto a machine without it, and vice versa.  Two
-    degradation layers:
+    numba requirement onto a machine without it, and vice versa.  An
+    *unavailable* backend degrades inside
+    :func:`repro.kernels.backends.resolve_backend` (counter, warning,
+    provenance entry).  Nothing compiles here: a compile failure degrades
+    the plan's first :meth:`~ExecutionPlan.session` instead.
 
-    * *unavailable* backends degrade inside
-      :func:`repro.kernels.backends.resolve_backend` (counter, warning,
-      provenance entry);
-    * *compile failures* (e.g. the injected ``backend.compile`` fault)
-      are caught here and degrade the same way.
-
-    Either way the result lands in :attr:`ExecutionPlan.backend` /
+    The result lands in :attr:`ExecutionPlan.backend` /
     ``backend_provenance`` — never in the ladder :attr:`~ExecutionPlan.provenance`,
     so a missing optional JIT does not mark the plan degraded (degraded
     plans are never cached).
     """
-    from repro.kernels.backends import resolve_backend, specialize
+    from repro.kernels.backends import resolve_backend
 
     backend, provenance = resolve_backend(config.backend)
-    provenance = list(provenance)
-    artifact: tuple = ()
-    if backend.name != "numpy":
-        try:
-            spec = specialize(plan, kernel="spmm")
-            compiled = backend.artifact(spec)
-        except BackendUnavailable as exc:
-            METRICS.counter(
-                "kernels.backend_fallback",
-                "backend requests degraded to the numpy reference",
-            ).inc()
-            provenance.append(
-                f"backend:{backend.name}->numpy: compile failed: {exc}"
-            )
-            warnings.warn(
-                f"kernel backend {backend.name!r} failed to compile ({exc}); "
-                "plan falling back to the numpy reference (results unchanged)",
-                DegradedExecution,
-                stacklevel=2,
-            )
-            from repro.kernels.backends import get_backend
-
-            backend = get_backend("numpy")
-        else:
-            artifact = compiled.descriptor()
-            plan.preprocess_seconds.setdefault(
-                "backend_compile", compiled.compile_seconds
-            )
-    return replace(
-        plan,
-        backend=backend.name,
-        backend_provenance=tuple(provenance),
-        artifact=artifact,
-    )
+    return replace(plan, backend=backend.name, backend_provenance=provenance)
 
 
 @checked(validates("csr"))

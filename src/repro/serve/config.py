@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.serve.protocol import DEFAULT_MAX_LINE_BYTES
 
 __all__ = ["ServeConfig"]
 
@@ -68,7 +69,8 @@ class ServeConfig:
         Bound on the graceful drain (SIGTERM / ``drain`` op): in-flight
         requests get this long to finish before the server closes anyway.
     max_line_bytes:
-        Protocol line-length bound (guards the reader buffer).
+        Protocol line-length bound (guards the reader buffer).  Also
+        bounds the row index a decoded ``upload``/``delta`` may declare.
     """
 
     host: str = "127.0.0.1"
@@ -91,7 +93,7 @@ class ServeConfig:
     chunk_k: int = 64
     plan_cache_dir: str | None = None
     drain_timeout_s: float = 30.0
-    max_line_bytes: int = 64 * 1024 * 1024
+    max_line_bytes: int = DEFAULT_MAX_LINE_BYTES
     #: Extra per-tenant quota overrides: ``{tenant: (rate, burst)}``.
     tenant_quotas: dict = field(default_factory=dict)
 

@@ -83,7 +83,13 @@ __all__ = [
     "delta_to_wire",
     "delta_from_wire",
     "matrix_fingerprint",
+    "DEFAULT_MAX_LINE_BYTES",
 ]
+
+#: Default bound on one protocol line (``ServeConfig.max_line_bytes``).
+#: The decoders also hold a declared matrix height to it: its ``rowptr``
+#: (8 bytes per row, plus one) may not outgrow the line that declared it.
+DEFAULT_MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: Wire-protocol version, echoed by ``ping``/``health`` so clients can
 #: detect incompatible servers instead of mis-parsing them.
@@ -147,8 +153,28 @@ def matrix_to_wire(csr: CSRMatrix) -> dict:
     }
 
 
-def matrix_from_wire(obj) -> CSRMatrix:
-    """Decode an upload payload into a validated :class:`CSRMatrix`."""
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (``true``/``false`` are not numbers)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_dimension(what: str, n: int, max_bytes: int) -> None:
+    """Reject a dimension whose ``rowptr`` would exceed ``max_bytes``."""
+    if 8 * (n + 1) > max_bytes:
+        raise FormatError(
+            f"{what} {n} needs a {8 * (n + 1)}-byte row index, over the "
+            f"{max_bytes}-byte line bound"
+        )
+
+
+def matrix_from_wire(obj, *, max_bytes: int = DEFAULT_MAX_LINE_BYTES) -> CSRMatrix:
+    """Decode an upload payload into a validated :class:`CSRMatrix`.
+
+    Both dimensions are checked against ``max_bytes`` (the server passes
+    its ``max_line_bytes``) before any array is built, so a short line
+    declaring a huge shape is a :class:`~repro.errors.FormatError`, not
+    an allocation.
+    """
     if not isinstance(obj, dict):
         raise FormatError(
             f"matrix payload must be an object, got {type(obj).__name__}"
@@ -160,9 +186,11 @@ def matrix_from_wire(obj) -> CSRMatrix:
     if (
         not isinstance(shape, (list, tuple))
         or len(shape) != 2
-        or not all(isinstance(s, int) and s >= 0 for s in shape)
+        or not all(_is_count(s) for s in shape)
     ):
         raise FormatError(f"matrix shape must be two non-negative ints, got {shape}")
+    for dim in shape:
+        _check_dimension("matrix dimension", dim, max_bytes)
     try:
         rows = np.asarray(obj["rows"], dtype=np.int64)
         cols = np.asarray(obj["cols"], dtype=np.int64)
@@ -201,8 +229,15 @@ def delta_to_wire(delta) -> dict:
     }
 
 
-def delta_from_wire(obj):
-    """Decode a ``delta`` payload into a validated ``DeltaBatch``."""
+def delta_from_wire(
+    obj, *, n_rows: int = 0, max_bytes: int = DEFAULT_MAX_LINE_BYTES
+):
+    """Decode a ``delta`` payload into a validated ``DeltaBatch``.
+
+    ``n_rows`` is the height of the matrix the delta will grow:
+    ``n_rows + new_rows`` is held to ``max_bytes`` like an upload's
+    shape, before any array is built.
+    """
     from repro.streaming import DeltaBatch
 
     if not isinstance(obj, dict):
@@ -212,16 +247,17 @@ def delta_from_wire(obj):
     missing = [k for k in ("rows", "cols", "values") if k not in obj]
     if missing:
         raise FormatError(f"delta payload missing field(s): {', '.join(missing)}")
+    new_rows = obj.get("new_rows", 0)
+    if not _is_count(new_rows):
+        raise FormatError(f"delta new_rows must be a non-negative int, got {new_rows!r}")
+    _check_dimension("matrix height after the delta", n_rows + new_rows, max_bytes)
     try:
         rows = np.asarray(obj["rows"], dtype=np.int64)
         cols = np.asarray(obj["cols"], dtype=np.int64)
         values = np.asarray(obj["values"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"delta triples are not numeric arrays: {exc}") from exc
-    new_rows = obj.get("new_rows", 0)
     mode = obj.get("mode", "add")
-    if not isinstance(new_rows, int) or new_rows < 0:
-        raise FormatError(f"delta new_rows must be a non-negative int, got {new_rows!r}")
     try:
         # DeltaBatch validates shapes, dtypes and the mode/new_rows combination.
         return DeltaBatch(

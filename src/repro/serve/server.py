@@ -253,13 +253,15 @@ class SpmmServer:
     async def _send(
         self, writer, response: dict, request: _Request | None = None
     ) -> None:
-        writer.write(encode_message(response))
+        data = encode_message(response)
         if request is not None and request.admitted:
             # An admitted spmm's latency runs from its line being read to
-            # its response being encoded and handed to the writer.
+            # its response being encoded.  Recorded before the write, so a
+            # client that has its response also sees it counted.
             latency = self._clock() - request.t_read
             self.shedder.observe(latency)
             self._latency.observe(latency)
+        writer.write(data)
         with contextlib.suppress(ConnectionError):
             await writer.drain()
 
@@ -330,13 +332,16 @@ class SpmmServer:
                 self._matrices.move_to_end(fingerprint)
             return csr
 
+    def _decode_matrix(self, payload):
+        return matrix_from_wire(payload, max_bytes=self.config.max_line_bytes)
+
     async def _op_upload(self, msg: dict) -> dict:
         if self._draining:
             return {"status": STATUS_DRAINING}
         if "matrix" not in msg:
             return {"status": STATUS_ERROR, "error": "upload needs a matrix field"}
         csr = await self._loop.run_in_executor(
-            self._executor, matrix_from_wire, msg["matrix"]
+            self._executor, self._decode_matrix, msg["matrix"]
         )
         fingerprint = matrix_fingerprint(csr)
         self._register_matrix(fingerprint, csr)
@@ -371,7 +376,9 @@ class SpmmServer:
                 "error": f"no matrix with fingerprint {fingerprint!r}; "
                 "upload it first",
             }
-        delta = delta_from_wire(msg["delta"])
+        delta = delta_from_wire(
+            msg["delta"], n_rows=csr.n_rows, max_bytes=self.config.max_line_bytes
+        )
 
         def mutate():
             fault_point("streaming.update")
@@ -432,7 +439,7 @@ class SpmmServer:
                 }
         elif "matrix" in msg:
             csr = await self._loop.run_in_executor(
-                self._executor, matrix_from_wire, msg["matrix"]
+                self._executor, self._decode_matrix, msg["matrix"]
             )
             fingerprint = matrix_fingerprint(csr)
             self._register_matrix(fingerprint, csr)
@@ -451,7 +458,11 @@ class SpmmServer:
         deadline_s = msg.get("deadline_s", self.config.default_deadline_s)
         deadline = None
         if deadline_s is not None:
-            if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
+            if (
+                isinstance(deadline_s, bool)
+                or not isinstance(deadline_s, (int, float))
+                or deadline_s <= 0
+            ):
                 return {
                     "status": STATUS_ERROR,
                     "error": f"deadline_s must be a positive number, got {deadline_s!r}",

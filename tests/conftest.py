@@ -83,6 +83,40 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
     return COOMatrix.from_arrays((m, n), rows, cols, vals).to_csr()
 
 
+# --- Composed bitwise oracles for tiled and plan SpMM -------------------------
+#
+# KernelSession is the only executor of tiled and plan SpMM: spmm_tiled and
+# ExecutionPlan.spmm run a transient session.  Comparing a session with
+# them would compare the session with itself, so these oracles compose the
+# independent gather reference over the target's parts instead.  The
+# products and their accumulation order per output element are the
+# executor's, so the numpy backend matches them bitwise.
+
+
+def spmm_tiled_reference(tiled, X):
+    """``tiled.original @ X`` as gather(dense part) + gather(sparse part)."""
+    from repro.kernels import spmm_gather_reference
+
+    return spmm_gather_reference(tiled.dense_part, X) + spmm_gather_reference(
+        tiled.sparse_part, X
+    )
+
+
+def spmm_plan_reference(plan, X):
+    """``plan.original @ X`` composed in reordered row space, then scattered.
+
+    The remainder (round-2 ordered) is added at ``remainder_order`` and
+    reordered row ``r`` lands on original row ``row_order[r]``.
+    """
+    from repro.kernels import spmm_gather_reference
+
+    y = spmm_gather_reference(plan.tiled.dense_part, X)
+    y[plan.remainder_order] += spmm_gather_reference(plan.remainder, X)
+    out = np.empty_like(y)
+    out[plan.row_order] = y
+    return out
+
+
 # --- Compiled kernel backends ------------------------------------------------
 #
 # The cross-backend differential matrix and the parametrized oracle tests

@@ -11,6 +11,7 @@ from repro.gpu.cache import approx_lru_hits, lru_hits, set_associative_hits
 from repro.kernels import sddmm, spmm
 from repro.reorder import ReorderConfig, build_plan
 
+from conftest import spmm_plan_reference
 from test_sparse_properties import csr_matrices
 
 
@@ -131,6 +132,9 @@ class TestPipelineProperties:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(csr.n_cols, 3))
         np.testing.assert_allclose(plan.spmm(X), spmm(csr, X), rtol=1e-9, atol=1e-9)
+        want = spmm_plan_reference(plan, X)
+        np.testing.assert_array_equal(plan.spmm(X), want)
+        np.testing.assert_array_equal(plan.session().run(X), want)
 
     @given(csr_matrices(max_dim=10, max_nnz=30), st.integers(1, 4))
     @settings(max_examples=25, deadline=None)

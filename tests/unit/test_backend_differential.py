@@ -2,7 +2,9 @@
 
 Every (kernel x backend x dtype x degenerate shape) cell is held to a
 reference: SpMM to the gather oracle :func:`spmm_gather_reference`,
-SpMV / SDDMM / tiled SpMM to the numpy-backend kernels.  Bitwise equal
+tiled and plan SpMM to that oracle composed over their parts
+(``conftest.spmm_tiled_reference`` / ``spmm_plan_reference``), SpMV /
+SDDMM to the numpy-backend kernels.  Bitwise equal
 for ``numpy`` (and the test-only ``fake`` backend from ``conftest.py``,
 which runs the numpy artifacts), within 1 ULP for ``numba`` (whose only licensed deviation from the
 reference accumulation is FMA contraction — ``fastmath`` is off, so no
@@ -14,7 +16,7 @@ in a downstream experiment.
 import numpy as np
 import pytest
 
-from conftest import random_csr
+from conftest import random_csr, spmm_plan_reference, spmm_tiled_reference
 from repro.aspt import tile_matrix
 from repro.kernels import (
     KernelSession,
@@ -24,6 +26,7 @@ from repro.kernels import (
     spmm_tiled,
     spmv,
 )
+from repro.reorder import ReorderConfig, build_plan
 from repro.sparse import COOMatrix, CSRMatrix
 
 #: (n_rows, n_cols) corners: empty matrix, single cell, single row,
@@ -71,7 +74,7 @@ class TestSpmmMatrix:
         _assert_matches(backend_name, spmm(csr, X, backend=backend_name), reference)
 
     def test_all_dense_panel(self, rng, backend_name):
-        # Every row full: the nonempty_rows fast path (epilogue elided).
+        # Every row full: no empty row for the kernel to zero.
         dense = rng.normal(size=(8, 6))
         csr = CSRMatrix.from_dense(dense)
         X = rng.normal(size=(6, 5))
@@ -129,9 +132,19 @@ class TestTiledMatrix:
         csr = random_csr(rng, 32, 24, density=0.2)
         tiled = tile_matrix(csr, 8, 2)
         X = rng.normal(size=(24, 6)).astype(dtype)
-        reference = spmm_tiled(tiled, X)
+        reference = spmm_tiled_reference(tiled, X)
         got = spmm_tiled(tiled, X, backend=backend_name)
         _assert_matches(backend_name, got, reference)
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    def test_plan_spmm_runs_the_plan_backend(self, rng, backend_name, dtype):
+        csr = random_csr(rng, 32, 24, density=0.2)
+        plan = build_plan(
+            csr, ReorderConfig(siglen=16, panel_height=8, backend=backend_name)
+        )
+        assert plan.session().backend == backend_name
+        X = rng.normal(size=(24, 6)).astype(dtype)
+        _assert_matches(backend_name, plan.spmm(X), spmm_plan_reference(plan, X))
 
 
 class TestSessionMatrix:

@@ -19,7 +19,7 @@ from repro.sparse import (
     transpose_csr,
 )
 
-from conftest import maybe_streamed
+from conftest import maybe_streamed, spmm_plan_reference
 
 DEGENERATE_SHAPES = [(0, 5), (5, 0), (0, 0), (1, 1), (1, 8), (8, 1)]
 
@@ -65,6 +65,9 @@ class TestPipelineDegenerate:
         plan = build_plan(m, ReorderConfig(siglen=8, panel_height=2))
         X = np.ones((shape[1], 3))
         np.testing.assert_allclose(plan.spmm(X), np.zeros((shape[0], 3)))
+        np.testing.assert_array_equal(
+            plan.session().run(X), spmm_plan_reference(plan, X)
+        )
         Y = np.ones((shape[0], 3))
         assert plan.sddmm(X, Y).nnz == 0
 
@@ -110,6 +113,7 @@ class TestSingleRowMatrix:
         plan = build_plan(m, ReorderConfig(siglen=8, panel_height=4))
         X = rng.normal(size=(16, 4))
         np.testing.assert_allclose(plan.spmm(X), spmm(m, X))
+        np.testing.assert_array_equal(plan.spmm(X), spmm_plan_reference(plan, X))
         assert plan.row_order.tolist() == [0]
 
     def test_online_reorderer_single_row(self):

@@ -18,7 +18,7 @@ from repro.kernels import (
 )
 from repro.sparse import CSRMatrix, permute_csr_rows
 
-from conftest import random_csr
+from conftest import random_csr, spmm_tiled_reference
 
 
 @pytest.fixture
@@ -230,6 +230,9 @@ class TestSpmmTiled:
         X = rng.normal(size=(20, 6))
         tiled = tile_matrix(m, 4, 2)
         np.testing.assert_allclose(spmm_tiled(tiled, X), spmm(m, X))
+        np.testing.assert_array_equal(
+            spmm_tiled(tiled, X), spmm_tiled_reference(tiled, X)
+        )
 
 
 class TestSddmmTiled:

@@ -395,25 +395,31 @@ class TestMetricsRegistry:
 
 
 class TestCacheStatsCompat:
-    def test_augmented_assignment_still_works(self):
+    def test_inc_counts_per_tier_and_in_the_registry(self):
+        from repro.observability.metrics import METRICS
         from repro.planstore.memory import CacheStats
 
+        hits = METRICS.counter("planstore.hit")
+        before = hits.value
         stats = CacheStats()
-        stats.hits += 1
-        stats.hits += 1
-        stats.misses += 3
+        stats.hit.inc()
+        stats.hit.inc()
+        stats.miss.inc(3)
         assert (stats.hits, stats.misses) == (2, 3)
         assert stats.as_dict() == {
             "hits": 2, "misses": 3, "evictions": 0, "puts": 0,
         }
+        assert hits.value == before + 2
 
     def test_decreasing_a_counter_raises(self):
         from repro.planstore.memory import CacheStats
 
         stats = CacheStats()
-        stats.puts += 2
+        stats.put.inc(2)
         with pytest.raises(ValueError):
-            stats.puts -= 1
+            stats.put.inc(-1)
+        with pytest.raises(AttributeError):  # totals are read-only
+            stats.puts = 1
 
     def test_lru_cache_still_counts(self):
         from repro.planstore.memory import LRUPlanCache

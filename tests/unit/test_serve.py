@@ -40,6 +40,7 @@ from repro.serve import (
     matrix_to_wire,
     parse_address,
 )
+from repro.serve.protocol import delta_from_wire
 
 from conftest import FakeClock, random_csr
 
@@ -92,6 +93,40 @@ class TestProtocol:
         mutate(payload)
         with pytest.raises(FormatError):
             matrix_from_wire(payload)
+
+    @pytest.mark.parametrize("shape", [[2**40, 1], [1, 2**40], [2**23, 3]])
+    def test_matrix_from_wire_rejects_shapes_over_the_line_bound(self, shape):
+        # rowptr of 2**23 rows needs 64 MiB + 8 bytes: one over the default.
+        payload = {"shape": shape, "rows": [], "cols": [], "values": []}
+        with pytest.raises(FormatError, match="line bound"):
+            matrix_from_wire(payload)
+
+    def test_shape_bound_is_the_callers_line_bound(self):
+        # 8 * (n + 1) bytes of rowptr must fit in max_bytes.
+        ok = {"shape": [9, 3], "rows": [8], "cols": [2], "values": [1.0]}
+        assert matrix_from_wire(ok, max_bytes=80).shape == (9, 3)
+        with pytest.raises(FormatError, match="line bound"):
+            matrix_from_wire(dict(ok, shape=[10, 3]), max_bytes=80)
+
+    @pytest.mark.parametrize("shape", [[True, True], [True, 3], [3, False]])
+    def test_matrix_from_wire_rejects_boolean_dimensions(self, shape):
+        payload = {"shape": shape, "rows": [0], "cols": [0], "values": [1.0]}
+        with pytest.raises(FormatError, match="non-negative ints"):
+            matrix_from_wire(payload)
+
+    def test_delta_from_wire_bounds_the_grown_height(self):
+        payload = {"rows": [], "cols": [], "values": [], "new_rows": 2**40}
+        with pytest.raises(FormatError, match="line bound"):
+            delta_from_wire(payload, n_rows=10)
+        grown = dict(payload, new_rows=3)
+        with pytest.raises(FormatError, match="line bound"):
+            delta_from_wire(grown, n_rows=7, max_bytes=80)
+        assert delta_from_wire(grown, n_rows=6, max_bytes=80).new_rows == 3
+
+    def test_delta_from_wire_rejects_boolean_new_rows(self):
+        payload = {"rows": [], "cols": [], "values": [], "new_rows": True}
+        with pytest.raises(FormatError, match="new_rows"):
+            delta_from_wire(payload)
 
     def test_fingerprint_depends_on_values(self, rng):
         csr = random_csr(rng, 25, 25, density=0.1)
@@ -585,6 +620,26 @@ class TestServerEndToEnd:
             assert resp["status"] == STATUS_ERROR
             assert client.ping()["status"] == STATUS_OK  # connection survives
 
+    def test_oversized_declared_shape_is_rejected_before_allocating(self, served):
+        with ServeClient(served["thread"].address) as client:
+            resp = client.request(
+                {"op": "upload", "matrix": {
+                    "shape": [2**40, 1], "rows": [], "cols": [], "values": [],
+                }}
+            )
+            assert resp["status"] == STATUS_ERROR
+            assert "FormatError" in resp["error"]
+            assert client.health()["ready"] is True  # the server still answers
+
+    def test_boolean_deadline_is_an_error(self, served):
+        csr = served["csr"]
+        X = np.ones((csr.n_cols, 2))
+        with ServeClient(served["thread"].address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            resp = client.spmm(X, fingerprint=fingerprint, deadline_s=True)
+            assert resp["status"] == STATUS_ERROR
+            assert "deadline_s" in resp["error"]
+
     def test_unknown_op_is_an_error(self, served):
         with ServeClient(served["thread"].address) as client:
             resp = client.request({"op": "explode"})
@@ -690,6 +745,19 @@ class TestServerDelta:
         with ServeClient(delta_served["thread"].address) as client:
             resp = client.delta("deadbeef", self._delta(csr, rng))
             assert resp["status"] == STATUS_NOT_FOUND
+
+    def test_delta_growing_past_the_line_bound_is_an_error(self, delta_served):
+        csr = delta_served["csr"]
+        with ServeClient(delta_served["thread"].address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            resp = client.request(
+                {"op": "delta", "fingerprint": fingerprint, "delta": {
+                    "rows": [], "cols": [], "values": [], "new_rows": 2**40,
+                }}
+            )
+            assert resp["status"] == STATUS_ERROR
+            assert "line bound" in resp["error"]
+            assert client.health()["ready"] is True
 
     def test_malformed_delta_is_an_error(self, delta_served):
         csr = delta_served["csr"]

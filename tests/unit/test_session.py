@@ -12,7 +12,7 @@ from repro.errors import ShapeError
 from repro.kernels import KernelSession, spmm_gather_reference, spmm_tiled
 from repro.reorder import ReorderConfig, build_plan
 
-from conftest import random_csr
+from conftest import random_csr, spmm_plan_reference, spmm_tiled_reference
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +102,14 @@ class TestTiledSession:
     def test_bitwise_matches_spmm_tiled(self, matrix, X):
         tiled = tile_matrix(matrix, 8, 2)
         session = KernelSession(tiled)
-        np.testing.assert_array_equal(session.run(X), spmm_tiled(tiled, X))
+        np.testing.assert_array_equal(session.run(X), spmm_tiled_reference(tiled, X))
 
     def test_all_sparse_panels(self, rng):
         csr = random_csr(rng, 24, 12, density=0.05)  # nothing promotes to dense
         tiled = tile_matrix(csr, 8, 4)
         X = rng.normal(size=(12, 6))
         np.testing.assert_array_equal(
-            KernelSession(tiled).run(X), spmm_tiled(tiled, X)
+            KernelSession(tiled).run(X), spmm_tiled_reference(tiled, X)
         )
 
 
@@ -117,13 +117,34 @@ class TestPlanSession:
     def test_bitwise_matches_plan_spmm(self, matrix, X):
         plan = build_plan(matrix, ReorderConfig())
         session = KernelSession(plan)
-        np.testing.assert_array_equal(session.run(X), plan.spmm(X))
+        np.testing.assert_array_equal(session.run(X), spmm_plan_reference(plan, X))
 
     def test_plan_session_accessor(self, matrix, X):
         plan = build_plan(matrix, ReorderConfig())
         session = plan.session()
         assert isinstance(session, KernelSession)
-        np.testing.assert_array_equal(session.run(X), plan.spmm(X))
+        np.testing.assert_array_equal(session.run(X), spmm_plan_reference(plan, X))
+
+
+class TestComposedOracles:
+    """Every executor path equals the composed gather oracle, bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_session_and_one_shots_match_bitwise(self, seed, dtype):
+        m = hidden_clusters(12, 4, 96, 8, noise=0.15, seed=seed)
+        X = np.random.default_rng(seed).normal(size=(m.n_cols, 10)).astype(dtype)
+        plan = build_plan(m, ReorderConfig(panel_height=8))
+        want_plan = spmm_plan_reference(plan, X)
+        np.testing.assert_array_equal(KernelSession(plan).run(X), want_plan)
+        np.testing.assert_array_equal(plan.spmm(X), want_plan)
+        tiled = plan.tiled
+        want_tiled = spmm_tiled_reference(tiled, X)
+        np.testing.assert_array_equal(KernelSession(tiled).run(X), want_tiled)
+        np.testing.assert_array_equal(spmm_tiled(tiled, X), want_tiled)
+        np.testing.assert_array_equal(
+            KernelSession(m).run(X), spmm_gather_reference(m, X)
+        )
 
 
 def _concurrency_target(kind, matrix):
@@ -132,9 +153,9 @@ def _concurrency_target(kind, matrix):
         return matrix, lambda X: spmm_gather_reference(matrix, X)
     if kind == "tiled":
         tiled = tile_matrix(matrix, 8, 2)
-        return tiled, lambda X: spmm_tiled(tiled, X)
+        return tiled, lambda X: spmm_tiled_reference(tiled, X)
     plan = build_plan(matrix, ReorderConfig())
-    return plan, plan.spmm
+    return plan, lambda X: spmm_plan_reference(plan, X)
 
 
 class TestConcurrency:
