@@ -2,9 +2,10 @@
 
 One asyncio loop owns every connection of :mod:`repro.serve`, so a
 single blocking call inside an ``async def`` — ``time.sleep``,
-synchronous file IO, a subprocess wait — stalls *all* tenants at once,
-exactly the head-of-line blocking the admission controller exists to
-prevent.  Blocking work belongs on the executor
+synchronous file IO, a subprocess wait, or serialising a payload with
+``json.dumps``/``json.loads``/``.tolist()`` — stalls *all* tenants at
+once, exactly the head-of-line blocking the admission controller exists
+to prevent.  Blocking work belongs on the executor
 (``loop.run_in_executor``) or behind the asyncio equivalents
 (``asyncio.sleep``, stream APIs).
 """
@@ -33,10 +34,15 @@ _BLOCKING_MODULE_CALLS = {
     ("shutil", "copy2"),
     ("shutil", "copytree"),
     ("shutil", "rmtree"),
+    # Serialisation is CPU-bound in the payload's size: a dense operand
+    # through JSON holds the loop for as long as a sleep would.
+    ("json", "dumps"),
+    ("json", "loads"),
 }
 
 #: Method names that are synchronous file IO wherever they appear
-#: (``Path.read_text`` and friends); scoped to attribute calls so a
+#: (``Path.read_text`` and friends), plus ``ndarray.tolist``, which
+#: boxes every element of an array; scoped to attribute calls so a
 #: local helper named ``read_text`` still flags — in an async frame it
 #: is equally suspect.
 _BLOCKING_METHODS = {
@@ -44,6 +50,7 @@ _BLOCKING_METHODS = {
     "read_bytes",
     "write_text",
     "write_bytes",
+    "tolist",
 }
 
 
@@ -67,8 +74,9 @@ class AsyncBlockingCallRule(Rule):
     """RD108: blocking calls inside ``async def`` on serve paths.
 
     Flags ``time.sleep``, synchronous file IO (``open``,
-    ``Path.read_text``/``write_bytes``/...), subprocess invocations and
-    other thread-blocking calls lexically inside an ``async def`` body.
+    ``Path.read_text``/``write_bytes``/...), subprocess invocations,
+    payload serialisation (``json.dumps``, ``json.loads``, ``.tolist()``)
+    and other thread-blocking calls lexically inside an ``async def`` body.
     Nested *synchronous* ``def``s are excluded — they are exactly what
     gets shipped to ``loop.run_in_executor``, where blocking is fine.
     """

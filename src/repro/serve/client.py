@@ -3,7 +3,8 @@
 Deliberately plain blocking sockets: the client is used by the CLI
 (``repro doctor --serve``), by tests (which drive an in-process server
 from worker threads) and as executable documentation of the wire
-protocol.  One request, one response, in order, per connection.
+protocol.  One request, one response, in order, per connection; dense
+matrices cross as binary frames (see :mod:`repro.serve.protocol`).
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import numpy as np
 
 from repro.errors import ReproIOError, ValidationError
 from repro.serve.protocol import (
+    DENSE_DTYPE,
+    check_frame,
     decode_message,
     delta_to_wire,
+    dense_frame,
     encode_message,
     matrix_to_wire,
 )
@@ -45,10 +49,13 @@ def parse_address(address: str):
 
 
 class ServeClient:
-    """Blocking NDJSON client (context-manager; one connection).
+    """Blocking protocol-2 client (context-manager; one connection).
 
     ``address`` is a ``(host, port)`` pair or a UNIX socket path (the
-    return shape of :func:`parse_address`).
+    return shape of :func:`parse_address`).  :meth:`spmm` sends its
+    operand as a ``<f8`` frame behind the JSON header, and
+    :meth:`request` reads a framed ``result`` back into a float64 array,
+    so callers only ever see arrays.
     """
 
     def __init__(self, address, *, timeout: float | None = 30.0) -> None:
@@ -61,23 +68,57 @@ class ServeClient:
             else:
                 host, port = address
                 self._sock = socket.create_connection((host, port), timeout=timeout)
+                # Header and payload go out as two writes; Nagle would hold
+                # the second back for the first one's delayed ACK.
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             raise ReproIOError(f"cannot connect to {address!r}: {exc}") from exc
         self._file = self._sock.makefile("rb")
 
     # ------------------------------------------------------------------
-    def request(self, msg: dict) -> dict:
-        """Send one message and block for its response."""
+    def request(self, msg: dict, payload=None) -> dict:
+        """Send one message (and the frame ``payload`` its header
+        describes, if any) and block for its response.
+
+        A framed ``result`` is read in full and replaced by its array; a
+        connection that closes before the last byte is a
+        :class:`~repro.errors.ReproIOError`.
+        """
         try:
             self._sock.sendall(encode_message(msg))
-            line = self._file.readline()
+            if payload is not None:
+                self._sock.sendall(payload)
+            response = decode_message(self._readline())
+            if isinstance(response.get("result"), dict):
+                response["result"] = self._read_frame(response["result"])
+        except ReproIOError:
+            raise
         except OSError as exc:
             raise ReproIOError(f"request to {self.address!r} failed: {exc}") from exc
+        return response
+
+    def _readline(self) -> bytes:
+        line = self._file.readline()
         if not line:
             raise ReproIOError(
                 f"server at {self.address!r} closed the connection mid-request"
             )
-        return decode_message(line)
+        return line
+
+    def _read_frame(self, descriptor: dict) -> np.ndarray:
+        """Read the payload behind a frame descriptor into a new array."""
+        out = np.empty(check_frame(descriptor, max_bytes=None), dtype=DENSE_DTYPE)
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        got = 0
+        while got < len(view):
+            n = self._file.readinto(view[got:])
+            if not n:
+                raise ReproIOError(
+                    f"server at {self.address!r} closed the connection after "
+                    f"{got} of {len(view)} result bytes"
+                )
+            got += n
+        return out
 
     def ping(self) -> dict:
         """Liveness probe; returns ``{"status": "ok", "pong": true, ...}``."""
@@ -97,12 +138,14 @@ class ServeClient:
         tenant: str | None = None,
         request_id=None,
     ) -> dict:
-        """One multiply request; returns the raw response dict.
+        """One multiply request; returns the response dict.
 
-        On ``status == "ok"`` the dense result is under ``"result"`` —
-        use :meth:`result_array` to get it back as float64.
+        ``x`` goes out as a ``<f8`` frame.  On ``status == "ok"`` the
+        dense result is under ``"result"`` — use :meth:`result_array` to
+        get it back as float64.
         """
-        msg: dict = {"op": "spmm", "x": np.asarray(x, dtype=np.float64).tolist()}
+        frame = dense_frame(x)
+        msg: dict = {"op": "spmm", "x": frame.descriptor}
         if fingerprint is not None:
             msg["fingerprint"] = fingerprint
         if matrix is not None:
@@ -113,7 +156,7 @@ class ServeClient:
             msg["tenant"] = tenant
         if request_id is not None:
             msg["id"] = request_id
-        return self.request(msg)
+        return self.request(msg, frame.payload)
 
     def delta(self, fingerprint: str, delta) -> dict:
         """Stream a :class:`~repro.streaming.DeltaBatch` into ``fingerprint``.

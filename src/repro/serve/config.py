@@ -70,7 +70,8 @@ class ServeConfig:
         requests get this long to finish before the server closes anyway.
     max_line_bytes:
         Protocol line-length bound (guards the reader buffer).  Also
-        bounds the row index a decoded ``upload``/``delta`` may declare.
+        bounds the row index a decoded ``upload``/``delta`` may declare
+        and the payload a dense frame may declare.
     """
 
     host: str = "127.0.0.1"

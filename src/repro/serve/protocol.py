@@ -1,10 +1,21 @@
-"""The newline-delimited-JSON wire protocol of ``repro serve``.
+"""The wire protocol of ``repro serve``: NDJSON headers, binary dense frames.
 
-One JSON object per line in each direction, UTF-8, ``\\n``-terminated.
-Requests carry an ``op`` plus op-specific fields; every response echoes
-the request ``id`` (when given) and carries a ``status`` from the table
-below.  The protocol is dependency-free and language-neutral: any client
-that can open a socket and print JSON can talk to the server.
+Every message starts with one JSON object on one line, UTF-8,
+``\\n``-terminated.  Requests carry an ``op`` plus op-specific fields;
+every response echoes the request ``id`` (when given) and carries a
+``status`` from the table below.
+
+Dense matrices — the ``spmm`` operand ``x`` and the ``ok`` response's
+``result`` — do not travel as JSON.  Their header field is a frame
+descriptor, ``{"dtype": "<f8", "shape": [n, k], "nbytes": 8*n*k}``, and
+exactly ``nbytes`` raw little-endian float64 bytes (row-major) follow the
+header's newline.  A JSON-list ``x`` (protocol 1) is an ``error``.  A
+descriptor the server cannot trust — any dtype but ``"<f8"``, a shape
+that is not two non-negative ints, ``nbytes != 8*n*k`` or ``nbytes``
+over ``max_line_bytes`` — is an ``error`` sent before any payload byte is
+read, after which the server closes the connection: it cannot tell where
+the next header starts.  The protocol needs nothing beyond a socket, a
+JSON codec and a float64 byte order.
 
 Request ops
 -----------
@@ -15,8 +26,8 @@ Request ops
     fingerprint back for later fingerprint-only ``spmm`` requests.
 ``spmm``
     Multiply: either ``fingerprint`` (a previously uploaded matrix) or an
-    inline ``matrix``, plus the dense operand ``x`` (``n_cols x K``
-    nested lists), optional ``deadline_s`` and ``tenant``.
+    inline ``matrix``, plus the framed dense operand ``x``
+    (``n_cols x K``), optional ``deadline_s`` and ``tenant``.
 ``delta``
     Stream a :class:`~repro.streaming.DeltaBatch` into a previously
     uploaded matrix: the registry entry is replaced by the mutated
@@ -35,7 +46,7 @@ Request ops
 Response statuses
 -----------------
 =====================  ====================================================
-``ok``                 result computed (``result`` holds the dense output)
+``ok``                 result computed (``result`` frames the dense output)
 ``rejected_overload``  admission bound hit; retry against a less loaded
                        server (explicit rejection, never silent queueing)
 ``rejected_quota``     the tenant's token bucket is empty
@@ -56,6 +67,7 @@ decisions do).
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +92,11 @@ __all__ = [
     "matrix_to_wire",
     "matrix_from_wire",
     "dense_from_wire",
+    "DENSE_DTYPE",
+    "DenseFrame",
+    "dense_frame",
+    "check_frame",
+    "frame_array",
     "delta_to_wire",
     "delta_from_wire",
     "matrix_fingerprint",
@@ -89,11 +106,16 @@ __all__ = [
 #: Default bound on one protocol line (``ServeConfig.max_line_bytes``).
 #: The decoders also hold a declared matrix height to it: its ``rowptr``
 #: (8 bytes per row, plus one) may not outgrow the line that declared it.
+#: A dense frame's payload is held to the same bound.
 DEFAULT_MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: Wire-protocol version, echoed by ``ping``/``health`` so clients can
-#: detect incompatible servers instead of mis-parsing them.
-PROTOCOL_VERSION = 1
+#: detect incompatible servers instead of mis-parsing them.  Version 2
+#: frames dense matrices as raw bytes; version 1 sent JSON float lists.
+PROTOCOL_VERSION = 2
+
+#: The one dtype a dense frame carries: little-endian float64.
+DENSE_DTYPE = "<f8"
 
 STATUS_OK = "ok"
 STATUS_REJECTED_OVERLOAD = "rejected_overload"
@@ -206,8 +228,70 @@ def matrix_from_wire(obj, *, max_bytes: int = DEFAULT_MAX_LINE_BYTES) -> CSRMatr
     return COOMatrix.from_arrays(tuple(shape), rows, cols, values).to_csr()
 
 
+class DenseFrame(NamedTuple):
+    """A dense matrix ready for the wire: the header's descriptor and the
+    raw bytes that follow the header line."""
+
+    descriptor: dict
+    payload: memoryview
+
+
+def dense_frame(x) -> DenseFrame:
+    """Frame a 2-D array as ``<f8`` bytes (copying only to convert or to
+    make it C-contiguous; the payload is a view of the result)."""
+    x = np.ascontiguousarray(x, dtype=DENSE_DTYPE)
+    if x.ndim != 2:
+        raise ShapeError(f"dense frame must be 2-D, got shape {x.shape}")
+    descriptor = {
+        "dtype": DENSE_DTYPE,
+        "shape": [int(x.shape[0]), int(x.shape[1])],
+        "nbytes": int(x.nbytes),
+    }
+    return DenseFrame(descriptor, memoryview(x.reshape(-1).view(np.uint8)))
+
+
+def check_frame(descriptor, *, max_bytes: int | None) -> tuple:
+    """Validate a frame descriptor before any payload byte is read.
+
+    Returns the frame's ``(n, k)`` shape; its payload is ``8 * n * k``
+    bytes.  Raises :class:`~repro.errors.FormatError` for anything but a
+    ``{"dtype": "<f8", "shape": [n, k], "nbytes": 8*n*k}`` object — a
+    JSON list is the protocol-1 operand — and for ``nbytes`` over
+    ``max_bytes`` (``None``: no bound, for a client trusting its server).
+    """
+    if not isinstance(descriptor, dict):
+        raise FormatError(
+            f"dense matrices travel as binary frames in protocol {PROTOCOL_VERSION}: "
+            'expected a {"dtype", "shape", "nbytes"} descriptor, got '
+            f"{type(descriptor).__name__}"
+        )
+    dtype = descriptor.get("dtype")
+    if dtype != DENSE_DTYPE:
+        raise FormatError(f"frame dtype must be {DENSE_DTYPE!r}, got {dtype!r}")
+    shape = descriptor.get("shape")
+    if not isinstance(shape, list) or len(shape) != 2 or not all(map(_is_count, shape)):
+        raise FormatError(f"frame shape must be two non-negative ints, got {shape!r}")
+    nbytes = descriptor.get("nbytes")
+    if not _is_count(nbytes) or nbytes != 8 * shape[0] * shape[1]:
+        raise FormatError(
+            f"frame nbytes must be 8 * {shape[0]} * {shape[1]}, got {nbytes!r}"
+        )
+    if max_bytes is not None and nbytes > max_bytes:
+        raise FormatError(f"frame of {nbytes} bytes exceeds the {max_bytes}-byte bound")
+    return shape[0], shape[1]
+
+
+def frame_array(shape, payload) -> np.ndarray:
+    """The ``<f8`` matrix of a frame's payload (a view, no copy)."""
+    return np.frombuffer(payload, dtype=DENSE_DTYPE).reshape(shape)
+
+
 def dense_from_wire(obj, *, rows: int) -> np.ndarray:
-    """Decode the dense operand ``x`` (``rows x K`` nested lists)."""
+    """Validate the dense operand ``x`` as a ``rows x K`` float64 matrix.
+
+    The server passes a frame's :func:`frame_array`; anything
+    ``np.asarray`` reads as a matrix is accepted.
+    """
     try:
         x = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -5,9 +5,9 @@ builds run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
 so the loop never blocks on numpy (rule RD108 enforces this shape).  A
 request travels::
 
-    accept -> decode -> admission -> matrix resolve -> deadline
-           -> shed rung -> coalesce -> [executor] pin-or-build
-           -> K-chunked multiply -> slice -> respond
+    accept -> decode header -> read frame -> admission -> matrix resolve
+           -> deadline -> shed rung -> coalesce -> [executor] pin-or-build
+           -> K-chunked multiply -> frame result slice -> respond
 
 Every failure mode has an explicit, typed outcome (see
 :mod:`repro.serve.protocol`); the chaos suite asserts the server never
@@ -46,10 +46,13 @@ from repro.serve.protocol import (
     STATUS_ERROR,
     STATUS_NOT_FOUND,
     STATUS_OK,
+    check_frame,
     decode_message,
     delta_from_wire,
+    dense_frame,
     dense_from_wire,
     encode_message,
+    frame_array,
     matrix_fingerprint,
     matrix_from_wire,
 )
@@ -59,15 +62,20 @@ __all__ = ["SpmmServer", "run_server"]
 
 
 class _Request:
-    """One protocol line in flight: when it was read, and whether it was
-    an ``spmm`` that admission let in (only those feed the latency
-    histogram and the shed controller)."""
+    """One request in flight: when its header line was read, whether it
+    was an ``spmm`` that admission let in (only those feed the latency
+    histogram and the shed controller), its framed operand as
+    ``(shape, payload)``, and whether its connection must close after
+    the response because a bad frame descriptor left the stream out of
+    step."""
 
-    __slots__ = ("t_read", "admitted")
+    __slots__ = ("t_read", "admitted", "operand", "close")
 
     def __init__(self, t_read: float):
         self.t_read = t_read
         self.admitted = False
+        self.operand = None
+        self.close = False
 
 
 class _Member:
@@ -240,8 +248,10 @@ class SpmmServer:
                 if not line.strip():
                     continue
                 request = _Request(self._clock())
-                response = await self._handle_line(line, request)
+                response = await self._handle_line(line, reader, request)
                 await self._send(writer, response, request)
+                if request.close:
+                    break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
@@ -253,6 +263,9 @@ class SpmmServer:
     async def _send(
         self, writer, response: dict, request: _Request | None = None
     ) -> None:
+        frame = response.pop("result", None)  # a DenseFrame, built on the executor
+        if frame is not None:
+            response["result"] = frame.descriptor
         data = encode_message(response)
         if request is not None and request.admitted:
             # An admitted spmm's latency runs from its line being read to
@@ -262,10 +275,30 @@ class SpmmServer:
             self.shedder.observe(latency)
             self._latency.observe(latency)
         writer.write(data)
+        if frame is not None:
+            writer.write(frame.payload)
         with contextlib.suppress(ConnectionError):
             await writer.drain()
 
-    async def _handle_line(self, line: bytes, request: _Request) -> dict:
+    async def _read_operand(self, msg: dict, reader, request: _Request) -> None:
+        """Read the frame that follows a header carrying ``x``.
+
+        The payload is consumed here, before dispatch, so a request that
+        is then refused, unknown or drained still leaves the stream at
+        the next header.
+        """
+        descriptor = msg["x"]
+        try:
+            shape = check_frame(descriptor, max_bytes=self.config.max_line_bytes)
+        except FormatError:
+            # A JSON-list x (protocol 1) has no payload behind it, so its
+            # connection stays in step; after a bad descriptor nobody
+            # knows where the next header starts.
+            request.close = isinstance(descriptor, dict)
+            raise
+        request.operand = shape, await reader.readexactly(descriptor["nbytes"])
+
+    async def _handle_line(self, line: bytes, reader, request: _Request) -> dict:
         self._requests.inc()
         try:
             msg = decode_message(line)
@@ -274,7 +307,11 @@ class SpmmServer:
             return {"status": STATUS_ERROR, "error": str(exc)}
         rid = msg.get("id")
         try:
+            if "x" in msg:
+                await self._read_operand(msg, reader, request)
             response = await self._dispatch(msg, request)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise  # the client left mid-frame; the connection loop ends
         except (ReproError, ShapeError) as exc:
             self._errors.inc()
             response = {
@@ -422,11 +459,11 @@ class SpmmServer:
             return {"status": rejection}
         request.admitted = True
         try:
-            return await self._admitted_spmm(msg)
+            return await self._admitted_spmm(msg, request.operand)
         finally:
             self.admission.release()
 
-    async def _admitted_spmm(self, msg: dict) -> dict:
+    async def _admitted_spmm(self, msg: dict, operand) -> dict:
         # Resolve the operator matrix.
         fingerprint = msg.get("fingerprint")
         if fingerprint is not None:
@@ -448,10 +485,11 @@ class SpmmServer:
                 "status": STATUS_ERROR,
                 "error": "spmm needs a fingerprint or an inline matrix",
             }
-        if "x" not in msg:
+        if operand is None:
             return {"status": STATUS_ERROR, "error": "spmm needs a dense operand x"}
         x = await self._loop.run_in_executor(
-            self._executor, lambda: dense_from_wire(msg["x"], rows=csr.n_cols)
+            self._executor,
+            lambda: dense_from_wire(frame_array(*operand), rows=csr.n_cols),
         )
 
         # Deadline: per-request budget on the server's clock.
@@ -594,7 +632,7 @@ class SpmmServer:
             results.append(
                 {
                     "status": STATUS_OK,
-                    "result": out[:, starts[i] : ends[i]].tolist(),
+                    "result": dense_frame(out[:, starts[i] : ends[i]]),
                     "rung": entry.rung,
                     "degraded": entry.degraded,
                     "provenance": list(entry.provenance),

@@ -15,6 +15,11 @@ properties at any injection rate:
 * **monotone degradation provenance** — a response's ladder history only
   ever walks down the ladder, failures first, one final ``ok``.
 
+Bad frames ride along with the load on their own connections: truncated
+payloads, descriptors that disagree with themselves and clients that
+reset mid-payload.  None of them may take the server down or leak into
+another connection's results.
+
 CI runs this file at two ``(REPRO_CHAOS_RATE, REPRO_CHAOS_SEED)`` points
 (see the ``serve-load`` lane); when ``REPRO_SERVE_TRACE_DIR`` is set a
 per-request JSONL trace is written there for artifact upload.
@@ -23,6 +28,8 @@ per-request JSONL trace is written there for artifact upload.
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -47,6 +54,9 @@ from repro.serve.protocol import (
     STATUS_OK,
     STATUS_REJECTED_OVERLOAD,
     STATUS_REJECTED_QUOTA,
+    decode_message,
+    dense_frame,
+    encode_message,
 )
 from repro.serve.testing import ServerThread
 
@@ -98,6 +108,66 @@ class _ChaosClient:
             except OSError:
                 pass
             self._client = None
+
+
+#: Bad frames mixed into the load, one kind per sabotage.
+SABOTAGE = ("truncated", "mismatched", "disconnect")
+
+
+def _mismatch(descriptor, variant):
+    """A descriptor that disagrees with itself in one field."""
+    n, k = descriptor["shape"]
+    return [
+        dict(descriptor, nbytes=descriptor["nbytes"] + 8),
+        dict(descriptor, dtype="<f4"),
+        dict(descriptor, shape=[n, k + 1]),
+    ][variant % 3]
+
+
+def _sabotage(address, kind, fingerprint, x, variant=0):
+    """Send one bad ``spmm`` frame on a fresh connection.
+
+    ``truncated`` sends the header and half the payload, then ends the
+    stream; ``mismatched`` sends a header whose descriptor lies and no
+    payload; ``disconnect`` sends half the payload and resets the
+    connection.  Returns ``(status, closed)``: the status of the one
+    response line, if any came back, and whether the server then closed
+    the connection.  An injected accept fault closes it before anything
+    is read, so ``(None, True)`` is always a possible outcome.
+    """
+    frame = dense_frame(x)
+    descriptor = frame.descriptor
+    if kind == "mismatched":
+        descriptor = _mismatch(descriptor, variant)
+    header = encode_message({"op": "spmm", "fingerprint": fingerprint, "x": descriptor})
+    with socket.create_connection(address, timeout=30.0) as sock:
+        with sock.makefile("rb") as reader:
+            try:
+                sock.sendall(header)
+                if kind != "mismatched":
+                    sock.sendall(frame.payload[: len(frame.payload) // 2])
+                if kind == "disconnect":
+                    # Linger 0: close() sends a reset, not an orderly FIN.
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                    return None, True
+                if kind == "truncated":
+                    sock.shutdown(socket.SHUT_WR)
+                line = reader.readline()
+                status = decode_message(line)["status"] if line else None
+                return status, (not line) or reader.readline() == b""
+            except ConnectionError:
+                return None, True  # an accept fault dropped it first
+
+
+def _assert_sabotage_outcomes(outcomes):
+    """Bad frames are answered as the protocol says, never with a result."""
+    for kind, status, closed in outcomes:
+        assert closed, f"{kind}: the server kept an out-of-step connection open"
+        if kind == "mismatched":
+            assert status in (STATUS_ERROR, None), (kind, status)
+        else:
+            assert status is None, f"{kind}: a truncated frame got {status!r}"
 
 
 def _settled_label(provenance):
@@ -196,6 +266,7 @@ class TestServeLoadUnderChaos:
         )
         oracle = _ReferenceOracle(config)
         records = []
+        sabotage = []
         errors = []
         lock = threading.Lock()
 
@@ -247,6 +318,13 @@ class TestServeLoadUnderChaos:
                                         "latency_s": latency,
                                     }
                                 )
+                            if j % 3 == 1:
+                                kind = SABOTAGE[(worker_id + j) % len(SABOTAGE)]
+                                outcome = _sabotage(
+                                    thread.address, kind, fingerprints[pick], x, j
+                                )
+                                with lock:
+                                    sabotage.append((kind, *outcome))
                     except Exception as exc:  # pragma: no cover - reporting
                         errors.append(f"worker {worker_id}: {exc!r}")
                     finally:
@@ -291,6 +369,13 @@ class TestServeLoadUnderChaos:
         assert errors == []
         assert len(records) == self.THREADS * self.REQUESTS
         assert not thread._thread.is_alive()
+        assert {kind for kind, _, _ in sabotage} == set(SABOTAGE)
+        _assert_sabotage_outcomes(sabotage)
+        # Not every mismatched header was dropped by an accept fault.
+        assert any(
+            kind == "mismatched" and status == STATUS_ERROR
+            for kind, status, _ in sabotage
+        ), sabotage
 
         statuses = {}
         for record in records:
@@ -505,9 +590,10 @@ class TestCoalescingUnderConcurrency:
                 ).session(chunk_k=config.chunk_k)
 
                 coalesced_seen = False
-                for _attempt in range(3):
+                sabotage = []
+                for attempt in range(3):
                     responses = [None] * 12
-                    barrier = threading.Barrier(len(responses))
+                    barrier = threading.Barrier(len(responses) + len(SABOTAGE))
 
                     def worker(i):
                         rng = np.random.default_rng(500 + i)
@@ -516,9 +602,20 @@ class TestCoalescingUnderConcurrency:
                             barrier.wait()
                             responses[i] = (x, client.spmm(x, fingerprint=fingerprint))
 
+                    def saboteur(kind):
+                        x = np.ones((matrix.n_cols, 8))
+                        barrier.wait()
+                        outcome = _sabotage(
+                            thread.address, kind, fingerprint, x, attempt
+                        )
+                        sabotage.append((kind, *outcome))
+
                     threads = [
                         threading.Thread(target=worker, args=(i,))
                         for i in range(len(responses))
+                    ] + [
+                        threading.Thread(target=saboteur, args=(kind,))
+                        for kind in SABOTAGE
                     ]
                     for t in threads:
                         t.start()
@@ -537,6 +634,8 @@ class TestCoalescingUnderConcurrency:
                 with ServeClient(thread.address) as client:
                     metrics = client.metrics()["metrics"]
         assert coalesced_seen, "12-wide simultaneous burst never coalesced"
+        _assert_sabotage_outcomes(sabotage)
+        assert ("mismatched", STATUS_ERROR, True) in sabotage
         assert metrics["serve.coalesced"] >= 1
         assert metrics["serve.batches"] >= 1
 

@@ -1,6 +1,7 @@
 """Fixture: RD108 stays silent — blocking work is loop-safe here."""
 
 import asyncio
+import json
 import time
 from pathlib import Path
 
@@ -28,3 +29,18 @@ def warm_cache(path):
     """Sync functions may block; RD108 only watches async frames."""
     time.sleep(0.01)
     return Path(path).read_text()
+
+
+async def respond(writer, result):
+    """Serialisation shipped to the executor keeps the loop free."""
+    loop = asyncio.get_running_loop()
+
+    def encode():
+        return json.dumps({"result": result.tolist()}).encode()
+
+    writer.write(await loop.run_in_executor(None, encode))
+
+
+def decode(line):
+    """A sync helper may parse JSON; RD108 only watches async frames."""
+    return json.loads(line)

@@ -1,5 +1,6 @@
 """Fixture: RD108 fires on every blocking call inside an async def here."""
 
+import json
 import subprocess
 import time
 from pathlib import Path
@@ -32,3 +33,10 @@ async def outer():
         time.sleep(0.5)
 
     await inner()
+
+
+async def respond(writer, result):
+    """RD108: serialising a dense payload on the loop (JSON and tolist)."""
+    body = json.dumps({"result": result.tolist()})
+    writer.write(body.encode())
+    return json.loads(body)

@@ -118,7 +118,7 @@ class TestAsyncBlockingRule:
         findings = lint_fixture(
             "flagged_async.py", module_path="repro/serve/fixture.py"
         )
-        assert codes_of(findings) == ["RD108"] * 6
+        assert codes_of(findings) == ["RD108"] * 9
 
     def test_messages_name_the_blocking_call(self):
         findings = lint_fixture(
@@ -128,6 +128,8 @@ class TestAsyncBlockingRule:
         assert "time.sleep" in messages
         assert "subprocess.run" in messages
         assert ".read_text" in messages
+        assert "json.dumps" in messages and "json.loads" in messages
+        assert ".tolist" in messages
 
     def test_clean_fixture_is_silent(self):
         assert (

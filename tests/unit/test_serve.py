@@ -10,11 +10,19 @@ genuine wire path.
 
 import asyncio
 import hashlib
+import socket
+import threading
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, FormatError, ReproIOError, ValidationError
+from repro.errors import (
+    ConfigError,
+    FormatError,
+    ReproIOError,
+    ShapeError,
+    ValidationError,
+)
 from repro.observability.metrics import METRICS
 from repro.resilience import FaultInjector
 from repro.serve import (
@@ -40,7 +48,14 @@ from repro.serve import (
     matrix_to_wire,
     parse_address,
 )
-from repro.serve.protocol import delta_from_wire
+from repro.serve.protocol import (
+    DEFAULT_MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
+    check_frame,
+    delta_from_wire,
+    dense_frame,
+    frame_array,
+)
 
 from conftest import FakeClock, random_csr
 
@@ -50,6 +65,32 @@ class ManualClock(FakeClock):
 
     def __init__(self, start: float = 0.0):
         super().__init__(start=start, step=0.0)
+
+
+def _frame(shape, nbytes=None, dtype="<f8"):
+    n, k = shape
+    return {"dtype": dtype, "shape": list(shape),
+            "nbytes": 8 * n * k if nbytes is None else nbytes}
+
+
+#: Frame descriptors the server must refuse before reading a payload
+#: byte, with a word the error names.  Each would be a valid operand of
+#: the 36-column test matrix but for the one field it breaks.
+BAD_DESCRIPTORS = [
+    pytest.param(_frame((36, 2), dtype="float64"), "dtype", id="dtype-name"),
+    pytest.param(_frame((36, 2), dtype=">f8"), "dtype", id="dtype-big-endian"),
+    pytest.param(_frame((36, 2), nbytes=288, dtype="<f4"), "dtype", id="dtype-f4"),
+    pytest.param({"shape": [36, 2], "nbytes": 576}, "dtype", id="dtype-missing"),
+    pytest.param(_frame((36, 2)) | {"shape": [36]}, "shape", id="shape-1d"),
+    pytest.param(_frame((36, 2)) | {"shape": [36, 2, 1]}, "shape", id="shape-3d"),
+    pytest.param(_frame((36, -2), nbytes=576), "shape", id="shape-negative"),
+    pytest.param(_frame((True, 2), nbytes=16), "shape", id="shape-bool"),
+    pytest.param(_frame((36.0, 2), nbytes=576), "shape", id="shape-float"),
+    pytest.param(_frame((36, 2), nbytes=575), "nbytes", id="nbytes-short"),
+    pytest.param(_frame((36, 2), nbytes="576"), "nbytes", id="nbytes-string"),
+    pytest.param(_frame((36, 2), nbytes=2**40), "nbytes", id="nbytes-huge"),
+    pytest.param(_frame((2**20, 2**20)), "bound", id="over-line-bound"),
+]
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +181,53 @@ class TestProtocol:
             decode_message(encode_message(matrix_to_wire(csr)))
         )
         assert matrix_fingerprint(back) == matrix_fingerprint(csr)
+
+    def test_protocol_version_is_two(self):
+        assert PROTOCOL_VERSION == 2
+
+
+class TestDenseFrames:
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 1), (0, 4), (4, 0)])
+    def test_round_trip_is_bitwise(self, rng, shape):
+        x = rng.normal(size=shape)
+        frame = dense_frame(x)
+        assert frame.descriptor == _frame(shape)
+        assert len(frame.payload) == x.nbytes
+        assert check_frame(frame.descriptor, max_bytes=x.nbytes) == shape
+        back = frame_array(shape, bytes(frame.payload))
+        assert back.dtype == np.dtype("<f8")
+        np.testing.assert_array_equal(back, x)
+
+    def test_payload_is_little_endian_row_major(self):
+        frame = dense_frame(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert bytes(frame.payload) == np.array([1.0, 2.0, 3.0, 4.0], "<f8").tobytes()
+
+    def test_non_contiguous_and_non_float_inputs_are_converted(self):
+        x = np.arange(12).reshape(3, 4)
+        frame = dense_frame(x[:, ::2])
+        np.testing.assert_array_equal(
+            frame_array((3, 2), bytes(frame.payload)), x[:, ::2].astype(np.float64)
+        )
+
+    def test_one_dimensional_input_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            dense_frame(np.ones(4))
+
+    @pytest.mark.parametrize("descriptor, word", BAD_DESCRIPTORS)
+    def test_check_frame_rejects(self, descriptor, word):
+        with pytest.raises(FormatError, match=word):
+            check_frame(descriptor, max_bytes=DEFAULT_MAX_LINE_BYTES)
+
+    def test_json_list_operand_names_protocol_two(self):
+        with pytest.raises(FormatError, match="protocol 2"):
+            check_frame([[1.0, 2.0]], max_bytes=DEFAULT_MAX_LINE_BYTES)
+
+    def test_bound_is_the_callers(self):
+        descriptor = _frame((4, 2))  # 64 bytes
+        assert check_frame(descriptor, max_bytes=64) == (4, 2)
+        assert check_frame(descriptor, max_bytes=None) == (4, 2)
+        with pytest.raises(FormatError, match="bound"):
+            check_frame(descriptor, max_bytes=63)
 
 
 # ----------------------------------------------------------------------
@@ -665,6 +753,155 @@ class TestServerEndToEnd:
             assert metrics["status"] == STATUS_OK
             assert "serve.requests" in metrics["metrics"]
             assert metrics["metrics"]["serve.requests"] >= 1
+
+
+def _raw_connection(address):
+    """A bare socket to the server plus a reader over it: for frames no
+    well-behaved client would send."""
+    sock = socket.create_connection(address, timeout=10.0)
+    return sock, sock.makefile("rb")
+
+
+def _spmm_header(fingerprint, descriptor, **fields):
+    return encode_message({"op": "spmm", "fingerprint": fingerprint,
+                           "x": descriptor, **fields})
+
+
+class TestFramedWire:
+    """Protocol 2 over real sockets: bad frames are refused before their
+    payload is read, and every refusal leaves the server (and, where the
+    stream is still in step, the connection) serving bitwise results."""
+
+    def _oracle(self, served, X):
+        return served["plan"].session(chunk_k=16).run(X).copy()
+
+    @pytest.mark.parametrize("descriptor, word", BAD_DESCRIPTORS)
+    def test_bad_descriptor_is_refused_then_the_connection_closes(
+        self, served, descriptor, word
+    ):
+        address = served["thread"].address
+        with ServeClient(address) as client:
+            fingerprint = client.upload(served["csr"])["fingerprint"]
+        sock, reader = _raw_connection(address)
+        with sock, reader:
+            # No payload follows: the answer must not wait for one.
+            sock.sendall(_spmm_header(fingerprint, descriptor, id=5))
+            response = decode_message(reader.readline())
+            assert response["status"] == STATUS_ERROR
+            assert response["id"] == 5
+            assert "FormatError" in response["error"] and word in response["error"]
+            assert reader.readline() == b""  # closed: the stream is out of step
+        with ServeClient(address) as client:
+            assert client.health()["ready"] is True
+
+    def test_disconnect_mid_payload_leaves_the_server_serving(self, served):
+        address = served["thread"].address
+        csr = served["csr"]
+        X = served["rng"].random((csr.n_cols, 4))
+        with ServeClient(address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+        frame = dense_frame(X)
+        sock, reader = _raw_connection(address)
+        with sock, reader:
+            sock.sendall(_spmm_header(fingerprint, frame.descriptor))
+            sock.sendall(frame.payload[: len(frame.payload) // 2])
+        with ServeClient(address) as client:
+            assert client.health()["ready"] is True
+            resp = client.spmm(X, fingerprint=fingerprint)
+            assert resp["status"] == STATUS_OK
+            np.testing.assert_array_equal(
+                ServeClient.result_array(resp), self._oracle(served, X)
+            )
+
+    def test_json_list_operand_is_an_error_naming_protocol_2(self, served):
+        csr = served["csr"]
+        X = served["rng"].random((csr.n_cols, 2))
+        with ServeClient(served["thread"].address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            resp = client.request(
+                {"op": "spmm", "fingerprint": fingerprint, "x": X.tolist()}
+            )
+            assert resp["status"] == STATUS_ERROR
+            assert "protocol 2" in resp["error"]
+            # No payload followed the list, so the connection is in step.
+            good = client.spmm(X, fingerprint=fingerprint)
+            assert good["status"] == STATUS_OK
+            np.testing.assert_array_equal(
+                ServeClient.result_array(good), self._oracle(served, X)
+            )
+
+    def test_not_found_consumes_its_frame(self, served):
+        csr = served["csr"]
+        X = served["rng"].random((csr.n_cols, 5))
+        with ServeClient(served["thread"].address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            assert client.spmm(X, fingerprint="deadbeef")["status"] == STATUS_NOT_FOUND
+            resp = client.spmm(X, fingerprint=fingerprint)
+            assert resp["status"] == STATUS_OK
+            np.testing.assert_array_equal(
+                ServeClient.result_array(resp), self._oracle(served, X)
+            )
+
+    def test_quota_refusal_consumes_its_frame(self, rng):
+        csr = random_csr(rng, 30, 20, density=0.2)
+        config = ServeConfig(port=0, workers=1, panel_height=8, chunk_k=16,
+                             tenant_quotas={"limited": (0.001, 1.0)})
+        from repro.reorder import build_plan
+
+        oracle = build_plan(csr, config.reorder_config()).session(chunk_k=16)
+        X = rng.random((csr.n_cols, 7))
+        with ServerThread(config) as srv, ServeClient(srv.address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            statuses = [
+                client.spmm(X, fingerprint=fingerprint, tenant="limited")["status"]
+                for _ in range(2)
+            ]
+            assert statuses == [STATUS_OK, STATUS_REJECTED_QUOTA]
+            resp = client.spmm(X, fingerprint=fingerprint, tenant="other")
+            assert resp["status"] == STATUS_OK
+            np.testing.assert_array_equal(ServeClient.result_array(resp), oracle.run(X))
+
+    def test_tcp_client_sends_frames_without_nagle_delay(self, served):
+        # Header and payload are two writes: with Nagle on, the payload
+        # waits for the header's delayed ACK, ~40 ms a request on Linux.
+        with ServeClient(served["thread"].address) as client:
+            assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_result_arrives_as_a_writable_float64_array(self, served):
+        csr = served["csr"]
+        X = served["rng"].random((csr.n_cols, 3))
+        with ServeClient(served["thread"].address) as client:
+            fingerprint = client.upload(csr)["fingerprint"]
+            result = client.spmm(X, fingerprint=fingerprint)["result"]
+        assert isinstance(result, np.ndarray) and result.dtype == np.float64
+        assert result.shape == (csr.n_rows, 3) and result.flags.writeable
+
+
+class TestClientShortRead:
+    def test_server_closing_mid_payload_is_an_io_error(self):
+        """A stub server answers with a full header and half its payload."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        X = np.ones((3, 4))
+        frame = dense_frame(X)
+        header = encode_message({"status": STATUS_OK, "result": frame.descriptor})
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()
+                reader.read(len(frame.payload))  # the whole request
+                conn.sendall(header + bytes(frame.payload[:40]))
+
+        thread = threading.Thread(target=stub)
+        thread.start()
+        try:
+            with ServeClient(listener.getsockname()) as client:
+                with pytest.raises(ReproIOError, match="40 of 96 result bytes"):
+                    client.spmm(X, fingerprint="f")
+        finally:
+            thread.join(10.0)
+            listener.close()
+        assert not thread.is_alive()
 
 
 @pytest.fixture()
