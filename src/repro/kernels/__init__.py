@@ -6,13 +6,15 @@ Two families:
   implementing the paper's Alg. 1 / Alg. 2 semantics, both as readable
   reference oracles and as a vectorised production path.  There is one
   CSR SpMM kernel, :meth:`repro.kernels.CsrState.multiply`; the one-shot
-  :func:`spmm`, :class:`KernelSession` and the tiled kernels' sparse
-  remainder all run it.
+  :func:`spmm`, :class:`KernelSession` and both phases of the tiled and
+  plan SpMM run it.
 * **Tiled** kernels (:mod:`repro.kernels.aspt_spmm`,
   :mod:`repro.kernels.aspt_sddmm`) operating on a
-  :class:`repro.aspt.TiledMatrix`, computing the dense tiles through an
-  explicitly staged panel buffer (the functional analogue of the GPU
-  shared-memory path) and the remainder row-wise.
+  :class:`repro.aspt.TiledMatrix`.  On the host the dense tiles are a
+  CSR sub-matrix like the remainder, so tiled SpMM multiplies both parts
+  with the one CSR kernel over one staged operand, and tiled SDDMM is
+  plain SDDMM of the original matrix.  The shared-memory staging that
+  makes dense tiles pay on the GPU is modelled in :mod:`repro.gpu`.
 
 Every kernel allocates its own scratch per call.
 :class:`repro.kernels.KernelSession` pins a matrix (or tiled matrix, or

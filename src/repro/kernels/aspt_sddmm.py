@@ -1,10 +1,11 @@
 """SDDMM over an ASpT :class:`~repro.aspt.TiledMatrix`.
 
-Same two-phase structure as :mod:`repro.kernels.aspt_spmm`: the dense-tile
-entries read their ``X`` rows through a per-panel gathered buffer (shared
-memory analogue), the remainder goes through the row-wise kernel, and the
-two partial value arrays are scattered back into the original non-zero
-positions so the result has exactly the original pattern.
+Every output entry ``(Y[i] . X[c]) * v`` is computed on its own, so the
+split into dense tiles and sparse remainder changes no bit of the
+result: the tiled SDDMM is the plain :func:`~repro.kernels.sddmm` of the
+original matrix.  The tiling pays off only in the GPU model
+(:mod:`repro.gpu`), where the dense tiles' ``X`` rows are staged in
+shared memory.
 """
 
 from __future__ import annotations
@@ -15,29 +16,13 @@ from repro.aspt.tiles import TiledMatrix
 from repro.contracts import checked, invokes
 from repro.kernels.sddmm import sddmm
 from repro.sparse.csr import CSRMatrix
-from repro.util.validation import check_dense
 
 __all__ = ["sddmm_tiled"]
 
 
-def _nnz_positions_in_original(original: CSRMatrix, part: CSRMatrix) -> np.ndarray:
-    """For each stored entry of ``part``, its index in ``original``'s arrays.
-
-    Both matrices are canonical CSR over the same shape and ``part``'s
-    entries are a subset of ``original``'s, so a per-row ``searchsorted``
-    on the column arrays locates every entry; vectorised via global search
-    on (row, col) composite keys.
-    """
-    n = original.n_cols
-    orig_keys = original.row_ids() * np.int64(n) + original.colidx
-    part_keys = part.row_ids() * np.int64(n) + part.colidx
-    pos = np.searchsorted(orig_keys, part_keys)
-    return pos.astype(np.int64)
-
-
 @checked(invokes("validate_structure", "tiled"))
 def sddmm_tiled(tiled: TiledMatrix, X: np.ndarray, Y: np.ndarray) -> CSRMatrix:
-    """Two-phase ASpT SDDMM.
+    """ASpT SDDMM: :func:`~repro.kernels.sddmm` over ``tiled.original``.
 
     Parameters
     ----------
@@ -54,37 +39,4 @@ def sddmm_tiled(tiled: TiledMatrix, X: np.ndarray, Y: np.ndarray) -> CSRMatrix:
     CSRMatrix
         Same pattern as ``tiled.original`` with SDDMM values.
     """
-    original = tiled.original
-    X = check_dense("X", X, rows=original.n_cols, dtype=None)
-    Y = check_dense("Y", Y, rows=original.n_rows, cols=X.shape[1], dtype=None)
-    out_values = np.zeros(original.nnz, dtype=np.float64)
-
-    # Dense tiles: per-panel staged buffer.
-    dense = tiled.dense_part
-    if dense.nnz:
-        rowptr = dense.rowptr
-        dense_vals = np.zeros(dense.nnz, dtype=np.float64)
-        ph = tiled.spec.panel_height
-        row_ids = dense.row_ids()
-        for p, cols in enumerate(tiled.panel_dense_cols):
-            if cols.size == 0:
-                continue
-            lo = p * ph
-            hi = min(lo + ph, dense.n_rows)
-            p0, p1 = rowptr[lo], rowptr[hi]
-            if p0 == p1:
-                continue
-            local = np.searchsorted(cols, dense.colidx[p0:p1])
-            buffer = X[cols]
-            dots = np.einsum("pk,pk->p", Y[row_ids[p0:p1]], buffer[local])
-            dense_vals[p0:p1] = dots * dense.values[p0:p1]
-        out_values[_nnz_positions_in_original(original, dense)] = dense_vals
-
-    # Sparse remainder: row-wise kernel.
-    sparse = tiled.sparse_part
-    if sparse.nnz:
-        out_values[_nnz_positions_in_original(original, sparse)] = sddmm(
-            sparse, X, Y
-        ).values
-
-    return original.with_values(out_values)
+    return sddmm(tiled.original, X, Y)

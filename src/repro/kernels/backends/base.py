@@ -25,18 +25,19 @@ Compiled-fn calling conventions (what ``CompiledKernel.fn`` receives):
 =========  ==================================================================
 kernel      signature and contract
 =========  ==================================================================
-``spmm``    ``fn(state, X, out)`` — *fully overwrites* ``out`` with
-            ``state.csr @ X`` (including zeroing empty rows);
-            ``state`` is a :class:`repro.kernels.state.CsrState`.
+``spmm``    ``fn(states, X, outs)`` — *fully overwrites* each
+            ``outs[i]`` with ``states[i].csr @ X`` (including zeroing
+            empty rows); each state is a
+            :class:`repro.kernels.state.CsrState`.
 ``spmv``    ``fn(csr, x) -> y`` — returns a fresh ``(n_rows,)`` float64.
 ``sddmm``   ``fn(csr, X, Y) -> values`` — returns the new ``(nnz,)``
             values array (``(Y[i] . X[c]) * csr.value`` per entry).
 =========  ==================================================================
 
-Compiled kernels allocate their own scratch.  Tiled and plan SpMM are a
-*hybrid* on every backend: the dense-tile phase is the shared
-panel-gather implementation and only the sparse remainder runs the
-backend's compiled SpMM.
+Compiled kernels allocate their own scratch.  Tiled and plan SpMM run
+both ASpT phases through the backend's compiled SpMM: the dense-tile
+part and the sparse remainder are two CSR parts of one ``fn`` call, so
+a compiled backend accelerates both phases.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class KernelBackend:
         else:
             out = check_out("out", out, rows=csr.n_rows, cols=K)
         spec = SpecializationSpec(kernel="spmm", dtype=_dtype_token(X.dtype))
-        self.artifact(spec).fn(CsrState(csr), X, out)
+        self.artifact(spec).fn([CsrState(csr)], X, [out])
         return out
 
     def spmv(self, csr: CSRMatrix, x: np.ndarray) -> np.ndarray:

@@ -144,8 +144,9 @@ def _wrap(kernel: str, raw):
     """Adapt a raw array-level numba kernel to the compiled-fn convention."""
     if kernel == "spmm":
 
-        def spmm_fn(state, X, out):
-            raw(state.csr.rowptr, state.colidx, state.values, X, out)
+        def spmm_fn(states, X, outs):
+            for state, out in zip(states, outs):
+                raw(state.csr.rowptr, state.colidx, state.values, X, out)
 
         return spmm_fn
     if kernel == "spmv":

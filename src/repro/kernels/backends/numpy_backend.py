@@ -2,7 +2,8 @@
 
 Its "compiled" artifacts are plain closures over the exact operation
 sequences of the reference kernels: the K-chunked
-:meth:`repro.kernels.state.CsrState.multiply` for SpMM, the
+:meth:`repro.kernels.state.CsrState.multiply` over one staged operand
+(:func:`repro.kernels.state.multiply_parts`) for SpMM, the
 gather/multiply/segment-sum for SpMV, the gather + ``einsum`` for SDDMM.
 Every other backend's output is asserted against these artifacts by the
 differential test matrix, and every degradation path (unavailable
@@ -11,21 +12,15 @@ backend, injected compile fault) lands here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.kernels.backends.base import CompiledKernel, KernelBackend, SpecializationSpec
+from repro.kernels.state import multiply_parts
 from repro.util.arrayops import segment_sum
 
 __all__ = ["NumpyBackend"]
-
-
-def _spmm_fn(spec: SpecializationSpec):
-    chunk_k = spec.chunk_k
-
-    def spmm_kernel(state, X, out):
-        state.multiply(X, out, chunk_k)
-
-    return spmm_kernel
 
 
 def _spmv_kernel(csr, x):
@@ -47,7 +42,7 @@ class NumpyBackend(KernelBackend):
     def compile(self, spec: SpecializationSpec) -> CompiledKernel:
         """Wrap the reference kernel for ``spec`` — no real compilation."""
         if spec.kernel == "spmm":
-            fn = _spmm_fn(spec)
+            fn = functools.partial(multiply_parts, chunk_k=spec.chunk_k)
         elif spec.kernel == "spmv":
             fn = _spmv_kernel
         elif spec.kernel == "sddmm":

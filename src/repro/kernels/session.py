@@ -2,13 +2,15 @@
 
 The serving scenario behind the paper (and the ROADMAP north star) is a
 *fixed* sparse matrix multiplied against a stream of dense operands.  The
-one-shot kernels re-derive everything per call — segment starts, panel
-column remaps, scratch buffers, the output array.  A
-:class:`KernelSession` hoists all of it:
+one-shot kernels re-derive everything per call — segment starts,
+contiguous index arrays, the output array.  A :class:`KernelSession`
+hoists all of it:
 
-* per-matrix metadata (non-empty rows, segment starts, per-panel local
-  column ids) is computed once at construction;
-* the row-wise multiplies run through a **compiled kernel backend**
+* one :class:`~repro.kernels.state.CsrState` (non-empty rows, segment
+  starts) is pinned per non-empty CSR part at construction: the whole
+  matrix for CSR targets; the dense-tile part and the sparse part (the
+  round-2-ordered remainder for plans) for tiled and plan targets;
+* every part is multiplied through a **compiled kernel backend**
   (:mod:`repro.kernels.backends`): at construction the session resolves
   the requested backend (its own ``backend=`` argument, or the plan's
   ``backend`` field for plan targets) and fetches the SpMM artifact for
@@ -18,17 +20,19 @@ column remaps, scratch buffers, the output array.  A
   entirely;
 * the reference strategy itself (the ``numpy`` backend) multiplies
   *transposed and K-chunked*: the dense operand is staged as ``X.T``
-  (one contiguous ``K x N`` copy) and processed in chunks of ``chunk_k``
-  columns, so the gather, scale and segment-sum all stream along the
-  contiguous axis and the active chunk stays cache resident.  This is
+  (one contiguous ``K x N`` copy per ``run``, shared by every part) and
+  processed in chunks of ``chunk_k`` columns, so the gather, scale and
+  segment-sum all stream along the contiguous axis and the active chunk
+  stays cache resident.  This is
   the CPU analogue of the GPU kernel's coalesced-access + shared-memory
   staging.  The one-shot :func:`~repro.kernels.spmm` runs the same
   kernel over a transient state, and the one-shot
   :func:`~repro.kernels.spmm_tiled` and
   :meth:`~repro.reorder.ExecutionPlan.spmm` run a transient session; a
-  pinned session saves the per-call state build.  Scratch is allocated per call, like the one-shot kernels: on
-  the served plan sessions that measured faster than leasing it from a
-  pool (``docs/PERFORMANCE.md`` §1).
+  pinned session saves the per-call state build.  Scratch is allocated
+  per call, like the one-shot kernels: on the served plan sessions that
+  measured faster than leasing it from a pool (``docs/PERFORMANCE.md``
+  §1).
 
 Results are **bitwise identical** (``numpy`` backend) or within 1 ULP
 (``numba``) to :func:`~repro.kernels.spmm_gather_reference` composed
@@ -42,7 +46,8 @@ and the cross-backend differential matrix.
 
 Degradation is never fatal: if the requested backend is unavailable or
 its compile fails (including the injected ``backend.compile`` chaos
-fault), the session falls back to the uncompiled numpy reference path —
+fault), the session falls back to the uncompiled numpy reference
+function (:func:`~repro.kernels.state.multiply_parts`) —
 ``kernels.backend_fallback`` counts it, one
 :class:`~repro.errors.DegradedExecution` warning fires, and
 :attr:`KernelSession.backend_provenance` records the step.
@@ -64,6 +69,7 @@ result to keep it.
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 
@@ -71,8 +77,7 @@ import numpy as np
 
 from repro.aspt.tiles import TiledMatrix
 from repro.errors import BackendUnavailable, DegradedExecution
-from repro.kernels.aspt_spmm import _panel_dense_spmm, panel_plan
-from repro.kernels.state import DEFAULT_CHUNK_K, CsrState
+from repro.kernels.state import DEFAULT_CHUNK_K, CsrState, multiply_parts
 from repro.observability.metrics import METRICS
 from repro.observability.tracing import span
 from repro.sparse.csr import CSRMatrix
@@ -135,54 +140,48 @@ class KernelSession:
 
         Shared by construction and :meth:`refresh`; every target-derived
         attribute is (re)assigned here so a refresh leaves no stale state
-        behind.  ``_state`` is the one CSR part the session multiplies
-        row-wise: the whole matrix, the tiled sparse part, or the plan's
-        round-2-ordered remainder (``None`` when that part is empty).
+        behind.  ``_states`` holds one :class:`CsrState` per pinned CSR
+        part: the whole matrix for CSR targets; for tiled and plan
+        targets the dense part and the sparse part (the plan's
+        round-2-ordered remainder), each only when it has non-zeros.
         """
         self._plan = None
-        self._panels = None
         if isinstance(target, CSRMatrix):
             self._kind = "csr"
-            self._n_rows, self._n_cols = target.n_rows, target.n_cols
-            csr_part = target
-        elif isinstance(target, TiledMatrix):
-            self._kind = "tiled"
-            self._init_tiled(target)
-            csr_part = target.sparse_part
-        elif hasattr(target, "tiled") and hasattr(target, "row_order"):
-            # ExecutionPlan (duck-typed: repro.reorder imports this module's
-            # package, so a class check would be a circular import).
-            self._kind = "plan"
-            self._plan = target
-            self._init_tiled(target.tiled)
-            csr_part = target.remainder
+            shape, parts = target.shape, [target]
         else:
-            raise TypeError(
-                "KernelSession target must be a CSRMatrix, TiledMatrix or "
-                f"ExecutionPlan, got {type(target).__name__}"
-            )
-        if self._kind != "csr" and csr_part.nnz == 0:
-            self._state = None
-        else:
-            self._state = CsrState(csr_part)
+            if isinstance(target, TiledMatrix):
+                self._kind = "tiled"
+                tiled, remainder = target, target.sparse_part
+            elif hasattr(target, "tiled") and hasattr(target, "row_order"):
+                # ExecutionPlan (duck-typed: repro.reorder imports this
+                # module's package, so a class check would be a circular
+                # import).
+                self._kind = "plan"
+                self._plan = target
+                tiled, remainder = target.tiled, target.remainder
+            else:
+                raise TypeError(
+                    "KernelSession target must be a CSRMatrix, TiledMatrix or "
+                    f"ExecutionPlan, got {type(target).__name__}"
+                )
+            shape = tiled.original.shape
+            parts = [p for p in (tiled.dense_part, remainder) if p.nnz]
+            self._has_dense = tiled.dense_part.nnz > 0
+            self._has_remainder = remainder.nnz > 0
+        self._n_rows, self._n_cols = shape
+        self._states = [CsrState(p) for p in parts]
         self.target = target
         self._init_backend(self._requested_backend)
 
-    def _init_tiled(self, tiled: TiledMatrix) -> None:
-        self._n_rows = tiled.original.n_rows
-        self._n_cols = tiled.original.n_cols
-        self._panels = panel_plan(
-            tiled.dense_part, tiled.panel_dense_cols, tiled.spec.panel_height
-        )
-
     def _init_backend(self, backend: str | None) -> None:
         """Resolve the backend and, if a CSR part is pinned, compile the
-        SpMM artifact for it.
+        SpMM artifact for the parts.
 
         Unavailable backends degrade inside ``resolve_backend``; compile
         *failures* (e.g. the injected ``backend.compile`` fault) degrade
-        here, all the way down to the uncompiled numpy reference path —
-        a session never fails to construct over its backend.
+        here, all the way down to the uncompiled numpy reference function
+        — a session never fails to construct over its backend.
         """
         from repro.kernels.backends import (
             SpecializationSpec,
@@ -195,9 +194,9 @@ class KernelSession:
             requested = getattr(self._plan, "backend", None)
         backend_obj, provenance = resolve_backend(requested)
         provenance = list(provenance)
-        fn = None  # None: _multiply runs the uncompiled reference path
+        fn = functools.partial(multiply_parts, chunk_k=self.chunk_k)
         try:
-            if self._state is not None:
+            if self._states:
                 spec = SpecializationSpec(kernel="spmm", chunk_k=self.chunk_k)
                 fn = backend_obj.artifact(spec).fn
         except BackendUnavailable as exc:
@@ -246,7 +245,7 @@ class KernelSession:
 
         The streaming path: after :func:`repro.streaming.apply_delta`
         produces a patched plan, ``refresh`` re-derives every
-        target-bound attribute (pinned states, panel remaps, compiled
+        target-bound attribute (pinned part states, compiled
         artifacts — warm compiles hit the process-wide artifact cache)
         while keeping the session identity.  Accepts the same target
         types as the constructor, plus a
@@ -281,13 +280,6 @@ class KernelSession:
             self._local.out = pinned
         return pinned
 
-    def _multiply(self, X: np.ndarray, out: np.ndarray) -> None:
-        """The pinned CSR part's SpMM through the session's compiled artifact."""
-        if self._fn is not None:
-            self._fn(self._state, X, out)
-        else:
-            self._state.multiply(X, out, self.chunk_k)
-
     def run(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``target @ X`` (for plans: in original coordinates).
 
@@ -304,11 +296,9 @@ class KernelSession:
         out = self._output(K, out)
         with span("kernel.run", kind=self._kind, k=K):
             if self._kind == "csr":
-                self._multiply(X, out)
-            elif self._kind == "tiled":
-                self._run_tiled(X, out)
+                self._fn(self._states, X, [out])
             else:
-                self._run_plan(X, out)
+                self._run_tiled(X, out)
         return out
 
     def run_many(self, Xs) -> list[np.ndarray]:
@@ -321,24 +311,24 @@ class KernelSession:
 
     # ------------------------------------------------------------------
     def _run_tiled(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Dense tiles through the panel buffers, then the sparse part."""
-        out[:] = 0.0
-        _panel_dense_spmm(self._panels, X, out)
-        if self._state is not None:
-            remainder = np.empty((self._n_rows, X.shape[1]), dtype=np.float64)
-            self._multiply(X, remainder)
-            np.add(out, remainder, out=out)
-
-    def _run_plan(self, X: np.ndarray, out: np.ndarray) -> None:
-        """The tiled run in reordered row space, scattered back to original rows."""
+        """Dense part into ``y``, remainder added (at ``remainder_order``
+        for plans), then plans scatter ``y`` back by ``row_order``."""
         plan = self._plan
-        # Accumulate in round-1 (reordered) row space.
-        y_reordered = np.zeros((self._n_rows, X.shape[1]), dtype=np.float64)
-        _panel_dense_spmm(self._panels, X, y_reordered)
-        if self._state is not None:
-            y_rem = np.empty_like(y_reordered)
-            self._multiply(X, y_rem)
-            # Remainder row r is reordered-space row remainder_order[r].
-            y_reordered[plan.remainder_order] += y_rem
-        # Scatter back: reordered row r is original row row_order[r].
-        out[plan.row_order] = y_reordered
+        shape = (self._n_rows, X.shape[1])
+        # A plan accumulates in round-1 (reordered) row space.
+        y = out if plan is None else np.empty(shape, dtype=np.float64)
+        outs = [y] if self._has_dense else []
+        if not self._has_dense:
+            y[:] = 0.0
+        if self._has_remainder:
+            outs.append(np.empty(shape, dtype=np.float64))
+        self._fn(self._states, X, outs)
+        if self._has_remainder:
+            if plan is None:
+                np.add(y, outs[-1], out=y)
+            else:
+                # Remainder row r is reordered-space row remainder_order[r].
+                y[plan.remainder_order] += outs[-1]
+        if plan is not None:
+            # Scatter back: reordered row r is original row row_order[r].
+            out[plan.row_order] = y

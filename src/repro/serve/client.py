@@ -60,19 +60,23 @@ class ServeClient:
 
     def __init__(self, address, *, timeout: float | None = 30.0) -> None:
         self.address = address
+        sock = None
         try:
             if isinstance(address, str):
-                self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._sock.settimeout(timeout)
-                self._sock.connect(address)
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(timeout)
+                sock.connect(address)
             else:
                 host, port = address
-                self._sock = socket.create_connection((host, port), timeout=timeout)
+                sock = socket.create_connection((host, port), timeout=timeout)
                 # Header and payload go out as two writes; Nagle would hold
                 # the second back for the first one's delayed ACK.
-                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise ReproIOError(f"cannot connect to {address!r}: {exc}") from exc
+        self._sock = sock
         self._file = self._sock.makefile("rb")
 
     # ------------------------------------------------------------------

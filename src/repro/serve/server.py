@@ -645,8 +645,7 @@ class SpmmServer:
     def _run_chunk(self, entry, X, col, stop) -> np.ndarray:
         # session.run returns a per-thread pinned buffer that the next
         # run overwrites; the caller copies it into the batch output.
-        block = np.ascontiguousarray(X[:, col:stop])
-        return entry.session.run(block)
+        return entry.session.run(X[:, col:stop])
 
 
 async def _serve_forever(config: ServeConfig) -> None:

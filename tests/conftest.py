@@ -83,6 +83,26 @@ def random_csr(rng, m, n, density=0.1) -> CSRMatrix:
     return COOMatrix.from_arrays((m, n), rows, cols, vals).to_csr()
 
 
+def one_phase_csr(rng, layout, m=32) -> CSRMatrix:
+    """A random-valued ``m x m`` CSR whose ASpT tiling at dense threshold
+    2 has one phase only, under any row order.
+
+    ``"no_tiles"``: row ``i`` holds only column ``i``, so no column
+    repeats and no dense tile forms.  ``"all_dense"``: every row holds
+    the same three columns, so every non-zero is in a dense tile and the
+    sparse remainder is empty (for any panel height above 1).
+    """
+    if layout == "no_tiles":
+        rows = cols = np.arange(m)
+    elif layout == "all_dense":
+        rows = np.repeat(np.arange(m), 3)
+        cols = np.tile([0, m // 2, m - 1], m)
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
+    vals = rng.normal(size=rows.size)
+    return COOMatrix.from_arrays((m, m), rows, cols, vals).to_csr()
+
+
 # --- Composed bitwise oracles for tiled and plan SpMM -------------------------
 #
 # KernelSession is the only executor of tiled and plan SpMM: spmm_tiled and

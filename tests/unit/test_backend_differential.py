@@ -16,7 +16,12 @@ in a downstream experiment.
 import numpy as np
 import pytest
 
-from conftest import random_csr, spmm_plan_reference, spmm_tiled_reference
+from conftest import (
+    one_phase_csr,
+    random_csr,
+    spmm_plan_reference,
+    spmm_tiled_reference,
+)
 from repro.aspt import tile_matrix
 from repro.kernels import (
     KernelSession,
@@ -126,25 +131,38 @@ class TestSddmmMatrix:
         _assert_matches(backend_name, got.values, reference.values)
 
 
+def _tiled_inputs(rng):
+    """A random matrix plus the two one-phase corners, so the backend runs
+    both ASpT phases together, the dense-tile part alone and the sparse
+    remainder alone."""
+    return [
+        random_csr(rng, 32, 24, density=0.2),
+        one_phase_csr(rng, "no_tiles"),
+        one_phase_csr(rng, "all_dense"),
+    ]
+
+
 class TestTiledMatrix:
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_tiled_spmm_matches_reference(self, rng, backend_name, dtype):
-        csr = random_csr(rng, 32, 24, density=0.2)
-        tiled = tile_matrix(csr, 8, 2)
-        X = rng.normal(size=(24, 6)).astype(dtype)
-        reference = spmm_tiled_reference(tiled, X)
-        got = spmm_tiled(tiled, X, backend=backend_name)
-        _assert_matches(backend_name, got, reference)
+        for csr in _tiled_inputs(rng):
+            tiled = tile_matrix(csr, 8, 2)
+            X = rng.normal(size=(csr.n_cols, 6)).astype(dtype)
+            reference = spmm_tiled_reference(tiled, X)
+            got = spmm_tiled(tiled, X, backend=backend_name)
+            _assert_matches(backend_name, got, reference)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_plan_spmm_runs_the_plan_backend(self, rng, backend_name, dtype):
-        csr = random_csr(rng, 32, 24, density=0.2)
-        plan = build_plan(
-            csr, ReorderConfig(siglen=16, panel_height=8, backend=backend_name)
-        )
-        assert plan.session().backend == backend_name
-        X = rng.normal(size=(24, 6)).astype(dtype)
-        _assert_matches(backend_name, plan.spmm(X), spmm_plan_reference(plan, X))
+        for csr in _tiled_inputs(rng):
+            plan = build_plan(
+                csr, ReorderConfig(siglen=16, panel_height=8, backend=backend_name)
+            )
+            assert plan.session().backend == backend_name
+            X = rng.normal(size=(csr.n_cols, 6)).astype(dtype)
+            _assert_matches(
+                backend_name, plan.spmm(X), spmm_plan_reference(plan, X)
+            )
 
 
 class TestSessionMatrix:

@@ -30,7 +30,7 @@ from repro.kernels.backends import (
     resolve_backend,
 )
 from repro.kernels.backends.numba_backend import render_source as numba_source
-from repro.kernels.state import CsrState
+from repro.kernels.state import CsrState, stage
 from repro.observability.metrics import METRICS
 from repro.reorder import ReorderConfig, attach_backend, build_plan
 from repro.sparse import CSRMatrix
@@ -374,5 +374,5 @@ class TestCsrState:
         X = rng.normal(size=(matrix.n_cols, 16))
         state = CsrState(matrix)
         out = np.empty((matrix.n_rows, 16), dtype=np.float64)
-        state.multiply(X, out, 8)
+        state.multiply(stage(X), out, 8)
         np.testing.assert_array_equal(out, spmm_gather_reference(matrix, X))

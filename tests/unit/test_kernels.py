@@ -252,11 +252,14 @@ class TestSddmmTiled:
 
     def test_matches_plain_sddmm(self, rng):
         m = random_csr(rng, 18, 12, 0.3)
-        X = rng.normal(size=(12, 5))
-        Y = rng.normal(size=(18, 5))
         tiled = tile_matrix(m, 3, 2)
-        got = sddmm_tiled(tiled, X, Y)
-        np.testing.assert_allclose(got.values, sddmm(m, X, Y).values)
+        assert tiled.nnz_dense and tiled.nnz_sparse
+        for k in (1, 3, 7, 33):
+            for dtype in (np.float32, np.float64):
+                X = rng.normal(size=(12, k)).astype(dtype)
+                Y = rng.normal(size=(18, k)).astype(dtype)
+                got = sddmm_tiled(tiled, X, Y)
+                np.testing.assert_array_equal(got.values, sddmm(m, X, Y).values)
 
     def test_all_dense(self, rng):
         dense = np.zeros((4, 6))

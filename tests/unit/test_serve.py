@@ -9,9 +9,11 @@ genuine wire path.
 """
 
 import asyncio
+import gc
 import hashlib
 import socket
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -638,6 +640,16 @@ class TestParseAddress:
     def test_invalid(self, bad):
         with pytest.raises(ValidationError):
             parse_address(bad)
+
+
+class TestServeClientConnect:
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ReproIOError):
+                ServeClient(str(tmp_path / "missing.sock"))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # ----------------------------------------------------------------------

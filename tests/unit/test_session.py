@@ -9,10 +9,21 @@ import pytest
 from repro.aspt import tile_matrix
 from repro.datasets import hidden_clusters
 from repro.errors import ShapeError
-from repro.kernels import KernelSession, spmm_gather_reference, spmm_tiled
+from repro.kernels import (
+    DEFAULT_CHUNK_K,
+    KernelSession,
+    spmm_gather_reference,
+    spmm_tiled,
+)
+from repro.kernels import state as kernel_state
 from repro.reorder import ReorderConfig, build_plan
 
-from conftest import random_csr, spmm_plan_reference, spmm_tiled_reference
+from conftest import (
+    one_phase_csr,
+    random_csr,
+    spmm_plan_reference,
+    spmm_tiled_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +136,22 @@ class TestPlanSession:
         assert isinstance(session, KernelSession)
         np.testing.assert_array_equal(session.run(X), spmm_plan_reference(plan, X))
 
+    def test_numpy_run_stages_the_operand_once(self, matrix, X, monkeypatch):
+        plan = build_plan(matrix, ReorderConfig(panel_height=8))
+        assert plan.tiled.nnz_dense and plan.remainder.nnz
+        staged = []
+        stage = kernel_state.stage
+
+        def spy(operand):
+            staged.append(operand.shape)
+            return stage(operand)
+
+        monkeypatch.setattr(kernel_state, "stage", spy)
+        for target in (plan, plan.tiled):
+            staged.clear()
+            KernelSession(target).run(X)
+            assert staged == [X.shape]
+
 
 class TestComposedOracles:
     """Every executor path equals the composed gather oracle, bitwise."""
@@ -134,6 +161,27 @@ class TestComposedOracles:
     def test_session_and_one_shots_match_bitwise(self, seed, dtype):
         m = hidden_clusters(12, 4, 96, 8, noise=0.15, seed=seed)
         X = np.random.default_rng(seed).normal(size=(m.n_cols, 10)).astype(dtype)
+        self._assert_composed(m, X)
+
+    # One-phase targets (only the dense part or only the remainder pinned)
+    # at the widths around the K-chunk edges.
+    @pytest.mark.parametrize(
+        "k", [0, 1, DEFAULT_CHUNK_K - 1, DEFAULT_CHUNK_K + 1]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", ["no_tiles", "all_dense"])
+    def test_one_phase_targets_match_bitwise(self, layout, dtype, k):
+        rng = np.random.default_rng(k)
+        m = one_phase_csr(rng, layout)
+        X = rng.normal(size=(m.n_cols, k)).astype(dtype)
+        plan = self._assert_composed(m, X)
+        if layout == "no_tiles":
+            assert plan.tiled.nnz_dense == 0
+        else:
+            assert plan.remainder.nnz == 0
+
+    @staticmethod
+    def _assert_composed(m, X):
         plan = build_plan(m, ReorderConfig(panel_height=8))
         want_plan = spmm_plan_reference(plan, X)
         np.testing.assert_array_equal(KernelSession(plan).run(X), want_plan)
@@ -145,6 +193,7 @@ class TestComposedOracles:
         np.testing.assert_array_equal(
             KernelSession(m).run(X), spmm_gather_reference(m, X)
         )
+        return plan
 
 
 def _concurrency_target(kind, matrix):
